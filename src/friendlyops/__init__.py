@@ -65,7 +65,6 @@ from .modifiers import (
     build_standard_detailed,
     compl_mod,
     compose_mod,
-    predicate_modifier,
     sqrt_mod,
     standardize,
     xor_mod,
@@ -88,7 +87,6 @@ from .upseq import (
     CharTuple,
     UPSeq,
     at,
-    canonicalize,
     char_seq,
     char_tuple,
     format_char_tuple,
@@ -98,7 +96,6 @@ from .upseq import (
     parse_upseq,
     scale,
     scale_tuple,
-    upseq_eq,
     upseq_to_unary_dfa,
 )
 

@@ -123,12 +123,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     pred = _predicate(args)
     dfas = [_load_dfa(p) for p in args.dfa]
     build = build_standard_detailed(pred, dfas, "accessible", max_states=args.max_states).dfa
-    index = {tok: li for li, tok in enumerate(build.alphabet)}
     for word in words_up_to(build.alphabet, args.maxlen):
-        q = build.initial
-        for tok in word:
-            q = build.trans[index[tok]][q]
-        if (q in build.finals) != word_oracle(pred, dfas, word):
+        if accepts(build, word) != word_oracle(pred, dfas, word):
             print("disagreement on word: " + " ".join(word))
             return 1
     print(f"agreement on all words up to length {args.maxlen}")
@@ -148,8 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="friendlyops", description=__doc__)
     parser.add_argument("--max-states", type=int, default=10**6, dest="max_states",
                         help="cap on constructed states/letters (default 1000000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded by randomized reports (default 0)")
     parser.add_argument("--format", choices=("csv", "md"), default="csv",
                         help="table output format (default csv)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 
 from .automata import Dfa
 from .errors import CapExceeded, ParseError
-from .transforms import TransFn, TransTuple, tuple_compose, tuple_identity
+from .transforms import letter_tuples, tuple_compose, tuple_identity
 from .upseq import ZERO, ZERO_ONE, CharTuple, at, char_tuple, parse_eset, scale_tuple
 
 DEFAULT_SCAN_CAP = 10**6
@@ -124,11 +124,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_EXPR_DEPTH = 64
+
+# binary operator -> (precedence, node); all associate to the left
+_BINARY = {"|": (1, Or), "^": (2, Xor), "&": (3, And)}
+
+
 class _Parser:
+    """Precedence climbing over the token list.
+
+    Every parse method returns the subtree with its depth (the number of
+    nodes above a leaf on the longest path).  That depth and ``nesting``,
+    the brackets currently open, both stay within MAX_EXPR_DEPTH, so
+    neither the parser nor the recursive walks over the tree it returns can
+    exhaust the stack; format_expr output nests no deeper than its tree.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -147,77 +163,79 @@ class _Parser:
             raise ParseError(f"syntax error at position {tok[2]}: expected {want!r}, got {tok[1]!r}")
         return tok
 
+    def level(self, depth: int, pos: int) -> int:
+        if depth > MAX_EXPR_DEPTH:
+            raise ParseError(f"syntax error at position {pos}: expression nested deeper than {MAX_EXPR_DEPTH}")
+        return depth
+
     def parse(self) -> OpExpr:
-        e = self.or_expr()
+        e, _ = self.binary(1)
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"syntax error at position {tok[2]}: unexpected {tok[1]!r}")
         return e
 
-    def or_expr(self) -> OpExpr:
-        e = self.xor_expr()
-        while (tok := self.peek()) is not None and tok[1] == "|":
+    def binary(self, min_prec: int) -> tuple[OpExpr, int]:
+        e, depth = self.not_expr()
+        while (tok := self.peek()) is not None and _BINARY.get(tok[1], (0,))[0] >= min_prec:
+            prec, node = _BINARY[tok[1]]
             self.take()
-            e = Or(e, self.xor_expr())
+            right, rdepth = self.binary(prec + 1)
+            e, depth = node(e, right), self.level(max(depth, rdepth) + 1, tok[2])
+        return e, depth
+
+    def bracketed(self, pos: int) -> tuple[OpExpr, int]:
+        """The expression up to the ')' closing the bracket opened at pos."""
+        self.nesting = self.level(self.nesting + 1, pos)
+        e = self.binary(1)
+        self.expect("sym", ")")
+        self.nesting -= 1
         return e
 
-    def xor_expr(self) -> OpExpr:
-        e = self.and_expr()
-        while (tok := self.peek()) is not None and tok[1] == "^":
-            self.take()
-            e = Xor(e, self.and_expr())
-        return e
+    def not_expr(self) -> tuple[OpExpr, int]:
+        bangs = []
+        while (tok := self.peek()) is not None and tok[1] == "!":
+            bangs.append(self.take()[2])
+        e, depth = self.atom()
+        for pos in reversed(bangs):
+            e, depth = Not(e), self.level(depth + 1, pos)
+        return e, depth
 
-    def and_expr(self) -> OpExpr:
-        e = self.not_expr()
-        while (tok := self.peek()) is not None and tok[1] == "&":
-            self.take()
-            e = And(e, self.not_expr())
-        return e
-
-    def not_expr(self) -> OpExpr:
-        tok = self.peek()
-        if tok is not None and tok[1] == "!":
-            self.take()
-            return Not(self.not_expr())
-        return self.atom()
-
-    def atom(self) -> OpExpr:
+    def atom(self) -> tuple[OpExpr, int]:
         kind, value, pos = self.take()
         if value == "(":
-            e = self.or_expr()
-            self.expect("sym", ")")
-            return e
+            return self.bracketed(pos)
         if kind == "word" and value == "L":
             itok = self.expect("int")
             index = int(itok[1])
             if index == 0:
                 raise ParseError(f"syntax error at position {itok[2]}: argument index 0")
-            return Arg(index)
+            return Arg(index), 0
         if kind == "word" and value == "root":
             self.expect("sym", "[")
             m = int(self.expect("int")[1])
             self.expect("sym", "]")
             self.expect("sym", "(")
-            e = self.or_expr()
-            self.expect("sym", ")")
-            return RootM(m, e)
+            e, depth = self.bracketed(pos)
+            return RootM(m, e), self.level(depth + 1, pos)
         if kind == "word" and value == "Root":
             self.expect("sym", "(")
-            e = self.or_expr()
-            self.expect("sym", ")")
-            return RootStar(e)
+            e, depth = self.bracketed(pos)
+            return RootStar(e), self.level(depth + 1, pos)
         if kind == "word" and value == "wheel":
             ktok = self.expect("int")
             k = int(ktok[1])
             if k == 0:
                 raise ParseError(f"syntax error at position {ktok[2]}: wheel arity 0")
-            return Wheel(k)
+            return Wheel(k), 0
         raise ParseError(f"syntax error at position {pos}: unexpected {value!r}")
 
 
 def parse_expr(text: str) -> OpExpr:
-    """Parse an operation expression (precedence ! > & > ^ > |)."""
+    """Parse an operation expression (precedence ! > & > ^ > |).
+
+    Expressions deeper than MAX_EXPR_DEPTH levels raise ParseError.
+    """
     return _Parser(text).parse()
 
 
@@ -336,18 +354,13 @@ def word_oracle(
     """
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
-    alphabet = dfas[0].alphabet
-    for d in dfas[1:]:
-        if d.alphabet != alphabet:
-            raise ValueError("alphabet mismatch across inputs")
-    index = {tok: li for li, tok in enumerate(alphabet)}
+    alphabet, letters = letter_tuples(dfas)
+    step = dict(zip(alphabet, letters))
     f = tuple_identity(d.n_states for d in dfas)
     for tok in word:
-        li = index.get(tok)
-        if li is None:
+        if tok not in step:
             raise ValueError(f"unknown letter {tok!r}")
-        step = TransTuple(tuple(TransFn(d.trans[li]) for d in dfas))
-        f = tuple_compose(step, f)
+        f = tuple_compose(step[tok], f)
     chi = char_tuple(f, [d.initial for d in dfas], [d.finals for d in dfas])
     return eval_pred(pred, chi, scan_cap=scan_cap)
 

@@ -28,10 +28,9 @@ from .transforms import (
     TransTuple,
     all_tuples,
     compose,
-    fn_rank,
     fn_token,
     fn_unrank,
-    identity,
+    letter_tuples,
     tuple_compose,
     tuple_identity,
     tuple_rank,
@@ -79,33 +78,16 @@ class Modifier:
     label: Callable[[StateConfig, int], str] | None = None
 
 
-def _common_alphabet(dfas: Sequence[Dfa]) -> tuple[str, ...]:
-    if not dfas:
-        raise ValueError("need at least one input automaton")
-    alphabet = dfas[0].alphabet
-    for d in dfas[1:]:
-        if d.alphabet != alphabet:
-            raise ValueError("alphabet mismatch across inputs")
-    return alphabet
-
-
-def _letter_tuples(dfas: Sequence[Dfa]) -> list[TransTuple]:
-    return [
-        TransTuple(tuple(TransFn(d.trans[li]) for d in dfas))
-        for li in range(len(dfas[0].alphabet))
-    ]
-
-
 def apply_modifier(m: Modifier, dfas: Sequence[Dfa], *, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
     """Materialize the modifier's output DFA on concrete inputs."""
     if len(dfas) != m.arity:
         raise ValueError(f"arity mismatch: {len(dfas)} automata, modifier needs {m.arity}")
-    alphabet = _common_alphabet(dfas)
+    alphabet, letters = letter_tuples(dfas)
     cfg = StateConfig.from_dfas(dfas)
     n = m.n_states(cfg)
     if n > max_states:
         raise CapExceeded(f"output would have {n} states, cap is {max_states}")
-    rows = tuple(m.action(cfg, lt).images for lt in _letter_tuples(dfas))
+    rows = tuple(m.action(cfg, lt).images for lt in letters)
     finals = frozenset(s for s in range(n) if m.is_final(cfg, s))
     return Dfa(alphabet, n, m.initial(cfg), finals, rows)
 
@@ -114,32 +96,16 @@ def sqrt_mod() -> Modifier:
     """Square-root construction: states are all self-maps of the input.
 
     A letter with action d sends the state map p to d o p; the map p is
-    final when p(p(i)) is final in the input.
+    final when p(p(i)) is final in the input.  Apart from that finality
+    test this is the standard shape of ``build_standard`` in "full" mode.
     """
-
-    def n_states(cfg: StateConfig) -> int:
-        (n,) = cfg.sizes
-        return n**n
-
-    def initial(cfg: StateConfig) -> int:
-        (n,) = cfg.sizes
-        return fn_rank(identity(n))
 
     def is_final(cfg: StateConfig, s: int) -> bool:
         (n,) = cfg.sizes
         phi = fn_unrank(n, s)
         return phi.images[phi.images[cfg.initials[0]]] in cfg.finals[0]
 
-    def action(cfg: StateConfig, dt: TransTuple) -> TransFn:
-        (n,) = cfg.sizes
-        delta = dt.components[0]
-        return TransFn(tuple(fn_rank(compose(delta, fn_unrank(n, s))) for s in range(n**n)))
-
-    def label(cfg: StateConfig, s: int) -> str:
-        (n,) = cfg.sizes
-        return fn_token(TransTuple((fn_unrank(n, s),)))
-
-    return Modifier(1, n_states, initial, is_final, action, label)
+    return Modifier(1, _std_n_states, _std_initial, is_final, _std_action, _std_label)
 
 
 def xor_mod() -> Modifier:
@@ -235,6 +201,8 @@ def compose_mod(m1: Modifier, p: int, m2: Modifier) -> Modifier:
     return Modifier(m1.arity + k - 1, n_states, initial, is_final, action)
 
 
+# The standard shape: states are function tuples numbered by tuple_rank, the
+# identity tuple is initial and a letter composes its own tuple on the left.
 def _std_n_states(cfg: StateConfig) -> int:
     return tuple_space_size(cfg.sizes)
 
@@ -302,14 +270,33 @@ def standardize(m: Modifier, *, samples: int = 16, seed: int = 0) -> Modifier:
     return Modifier(m.arity, _std_n_states, initial, is_final, action, _std_label)
 
 
-def predicate_modifier(pred: EPredicate, *, scan_cap: int = DEFAULT_SCAN_CAP) -> Modifier:
-    """The standard modifier whose final tuples satisfy the predicate."""
+def accessible_tuples(
+    letters: Sequence[TransTuple], start: TransTuple, max_states: int
+) -> tuple[list[TransTuple], tuple[tuple[int, ...], ...]]:
+    """The tuples reachable from ``start`` by composing letters on the left.
 
-    def is_final(cfg: StateConfig, s: int) -> bool:
-        phi = tuple_unrank(cfg.sizes, s)
-        return eval_pred(pred, char_tuple(phi, cfg.initials, cfg.finals), scan_cap=scan_cap)
-
-    return Modifier(pred.arity, _std_n_states, _std_initial, is_final, _std_action, _std_label)
+    Tuples are numbered breadth-first in discovery order, letters scanned
+    in the given order; ``rows[li][s]`` is the number of ``letters[li] o
+    order[s]``.  More than ``max_states`` tuples raise CapExceeded.
+    """
+    order = [start]
+    index = {start: 0}
+    grow: list[list[int]] = [[] for _ in letters]
+    i = 0
+    while i < len(order):
+        f = order[i]
+        i += 1
+        for li, lt in enumerate(letters):
+            g = tuple_compose(lt, f)
+            sid = index.get(g)
+            if sid is None:
+                if len(order) >= max_states:
+                    raise CapExceeded(f"more than {max_states} reachable tuples")
+                sid = len(order)
+                index[g] = sid
+                order.append(g)
+            grow[li].append(sid)
+    return order, tuple(tuple(r) for r in grow)
 
 
 @dataclass(frozen=True)
@@ -343,37 +330,18 @@ def build_standard_detailed(
         raise ValueError(f"unknown build mode {mode!r}")
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
-    alphabet = _common_alphabet(dfas)
+    alphabet, letters = letter_tuples(dfas)
     cfg = StateConfig.from_dfas(dfas)
-    letters = _letter_tuples(dfas)
 
     if mode == "full":
-        total = tuple_space_size(cfg.sizes)
+        total = _std_n_states(cfg)
         if total > max_states:
             raise CapExceeded(f"full state space has {total} tuples, cap is {max_states}")
         order = list(all_tuples(cfg.sizes))
-        rows = tuple(tuple(tuple_rank(tuple_compose(lt, f)) for f in order) for lt in letters)
-        init = tuple_rank(tuple_identity(cfg.sizes))
+        rows = tuple(_std_action(cfg, lt).images for lt in letters)
+        init = _std_initial(cfg)
     else:
-        start = tuple_identity(cfg.sizes)
-        order = [start]
-        index = {start: 0}
-        grow: list[list[int]] = [[] for _ in letters]
-        i = 0
-        while i < len(order):
-            f = order[i]
-            i += 1
-            for li, lt in enumerate(letters):
-                g = tuple_compose(lt, f)
-                sid = index.get(g)
-                if sid is None:
-                    if len(order) >= max_states:
-                        raise CapExceeded(f"more than {max_states} reachable tuples")
-                    sid = len(order)
-                    index[g] = sid
-                    order.append(g)
-                grow[li].append(sid)
-        rows = tuple(tuple(r) for r in grow)
+        order, rows = accessible_tuples(letters, tuple_identity(cfg.sizes), max_states)
         init = 0
 
     memo: dict = {}

@@ -14,14 +14,14 @@ from typing import Sequence
 
 from .automata import Dfa
 from .errors import CapExceeded
+from .modifiers import DEFAULT_MAX_STATES, accessible_tuples
 from .transforms import (
-    TransFn,
     TransTuple,
     all_tuples,
     fn_token,
     identity,
+    letter_tuples,
     tn_generators,
-    tuple_compose,
     tuple_identity,
     tuple_space_size,
 )
@@ -80,24 +80,9 @@ def reachable_tuples(dfas: Sequence[Dfa]) -> int:
     Counts the tuples of transition functions reachable from the identity
     tuple by composing letter actions on the left; for monsters of either
     alphabet kind this is the full product of the coordinate monoids.
+    The count stops at the default state cap of the standard build: a
+    larger monoid raises CapExceeded.
     """
-    if not dfas:
-        raise ValueError("need at least one input automaton")
-    alphabet = dfas[0].alphabet
-    for d in dfas[1:]:
-        if d.alphabet != alphabet:
-            raise ValueError("alphabet mismatch across inputs")
-    letters = [
-        TransTuple(tuple(TransFn(d.trans[li]) for d in dfas)) for li in range(len(alphabet))
-    ]
+    _, letters = letter_tuples(dfas)
     start = tuple_identity(d.n_states for d in dfas)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        f = frontier.pop()
-        for lt in letters:
-            g = tuple_compose(lt, f)
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-    return len(seen)
+    return len(accessible_tuples(letters, start, DEFAULT_MAX_STATES)[0])

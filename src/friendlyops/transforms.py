@@ -14,8 +14,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from .automata import Dfa
 from .errors import ParseError
 
 
@@ -107,6 +108,18 @@ def tuple_compose(f: TransTuple, g: TransTuple) -> TransTuple:
     if f.sizes != g.sizes:
         raise ValueError(f"shape mismatch: {f.sizes} vs {g.sizes}")
     return TransTuple(tuple(compose(a, b) for a, b in zip(f.components, g.components)))
+
+
+def letter_tuples(dfas: Sequence[Dfa]) -> tuple[tuple[str, ...], list[TransTuple]]:
+    """The shared alphabet of the inputs and, per letter, its tuple of actions."""
+    if not dfas:
+        raise ValueError("need at least one input automaton")
+    alphabet = dfas[0].alphabet
+    for d in dfas[1:]:
+        if d.alphabet != alphabet:
+            raise ValueError("alphabet mismatch across inputs")
+    letters = [TransTuple(tuple(TransFn(d.trans[li]) for d in dfas)) for li in range(len(alphabet))]
+    return alphabet, letters
 
 
 def rho_shape(f: TransFn, start: int) -> RhoShape:

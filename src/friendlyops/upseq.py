@@ -84,11 +84,6 @@ ZERO = UPSeq((), (0,))
 ZERO_ONE = UPSeq((0,), (1,))
 
 
-def canonicalize(prefix: Sequence[int], period: Sequence[int]) -> UPSeq:
-    """The unique canonical representative of prefix followed by period."""
-    return UPSeq(tuple(prefix), tuple(period))
-
-
 def at(u: UPSeq, p: int) -> int:
     """The bit at index p (p >= 0)."""
     if p < 0:
@@ -96,11 +91,6 @@ def at(u: UPSeq, p: int) -> int:
     if p < len(u.prefix):
         return u.prefix[p]
     return u.period[(p - len(u.prefix)) % len(u.period)]
-
-
-def upseq_eq(u: UPSeq, v: UPSeq) -> bool:
-    """Pointwise equality; structural equality suffices on canonical forms."""
-    return u == v
 
 
 def scale(u: UPSeq, m: int) -> UPSeq:

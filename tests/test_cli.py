@@ -136,6 +136,17 @@ class TestOracle:
     def test_smaller_length(self, fig1_path):
         assert main(["oracle", "--wheel", "1", "--dfa", fig1_path, "--maxlen", "4"]) == 0
 
+    @pytest.mark.parametrize("expr", [
+        "!" * 5000 + "L1",
+        "(" * 2000 + "L1" + ")" * 2000,
+        " & ".join(["L1"] * 3000),
+        "root[1](" * 400 + "L1" + ")" * 400,
+    ], ids=["bang", "paren", "chain", "root"])
+    def test_deep_expression_is_usage_error(self, fig1_path, capsys, expr):
+        assert main(["oracle", "--expr", expr, "--dfa", fig1_path, "--maxlen", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: syntax error at position") and "Traceback" not in err
+
 
 class TestSc:
     def test_wheel_range(self, capsys):

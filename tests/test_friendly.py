@@ -33,6 +33,18 @@ from friendlyops import (
 )
 from friendlyops.errors import CapExceeded, ParseError
 from friendlyops.experiments import random_char_tuple, random_expr
+from friendlyops.friendly import MAX_EXPR_DEPTH
+
+# Expressions just past the depth limit, one per way of getting deep:
+# prefix operators, brackets, a flat left-leaning chain, nested roots, and
+# brackets each opened inside three operators of rising precedence.
+TOO_DEEP = {
+    "bang": "!" * (MAX_EXPR_DEPTH + 1) + "L1",
+    "paren": "(" * (MAX_EXPR_DEPTH + 1) + "L1" + ")" * (MAX_EXPR_DEPTH + 1),
+    "chain": " & ".join(["L1"] * (MAX_EXPR_DEPTH + 2)),
+    "root": "root[1](" * (MAX_EXPR_DEPTH + 1) + "L1" + ")" * (MAX_EXPR_DEPTH + 1),
+    "mixed": "L1 | L1 ^ L1 & (" * MAX_EXPR_DEPTH + "L1" + ")" * MAX_EXPR_DEPTH,
+}
 
 
 class TestParseExpr:
@@ -62,10 +74,23 @@ class TestParseExpr:
 
     @pytest.mark.parametrize(
         "bad", ["", "L0", "L", "wheel 0", "root[2](L1", "L1 &", "& L1", "L1 L2", "root(L1)", "foo"]
+        + [pytest.param(text, id=f"too-deep-{name}") for name, text in TOO_DEEP.items()]
     )
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(ParseError, match="position \\d+"):
             parse_expr(bad)
+
+    def test_just_under_depth_limit_evaluates(self):
+        chi = parse_char_tuple("0(1)")
+        chain = parse_expr(" & ".join(["L1"] * (MAX_EXPR_DEPTH + 1)))
+        assert eval_expr(chain, chi) and expr_arity(chain) == 1
+        assert parse_expr(format_expr(chain)) == chain
+        bangs = parse_expr("!" * MAX_EXPR_DEPTH + "L1")
+        assert eval_expr(bangs, chi) == (MAX_EXPR_DEPTH % 2 == 0)
+        parens = parse_expr("(" * MAX_EXPR_DEPTH + "L1" + ")" * MAX_EXPR_DEPTH)
+        assert parens == Arg(1)
+        roots = parse_expr("Root(" * MAX_EXPR_DEPTH + "L1" + ")" * MAX_EXPR_DEPTH)
+        assert eval_expr(roots, chi) and parse_expr(format_expr(roots)) == roots
 
     def test_format_round_trip_random(self):
         rng = random.Random(11)

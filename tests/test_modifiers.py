@@ -23,7 +23,6 @@ from friendlyops import (
     equivalent,
     minimize,
     parse_expr,
-    predicate_modifier,
     sqrt_mod,
     standardize,
     tuple_compose,
@@ -60,6 +59,7 @@ class TestSqrtMod:
         pred = Compiled(parse_expr("root[2](L1)"))
         for rng, d in random_cases(31, 30):
             assert equivalent(apply_modifier(sqrt_mod(), (d,)), build_standard(pred, (d,)))
+            assert apply_modifier(sqrt_mod(), (d,)) == build_standard(pred, (d,), "full")
 
     def test_monster_square_root_size(self):
         m2 = monster(MonsterSpec((2,), "full"))
@@ -176,7 +176,7 @@ class TestComposeMod:
             assert equivalent(apply_modifier(composed, (a, b)), build_standard(pred, (a, b)))
 
     def test_identity_like_inner_preserves_language(self):
-        keep = predicate_modifier(Compiled(parse_expr("L1")))
+        keep = standardize(compose_mod(compl_mod(), 1, compl_mod()))
         composed = compose_mod(sqrt_mod(), 1, keep)
         for rng, d in random_cases(79, 10, max_n=3):
             assert equivalent(apply_modifier(composed, (d,)), apply_modifier(sqrt_mod(), (d,)))

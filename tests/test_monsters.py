@@ -49,6 +49,8 @@ class TestConstruction:
             MonsterSpec((0,), "full")
         with pytest.raises(ValueError):
             MonsterSpec((2,), "tiny")
+        with pytest.raises(ValueError, match="need at least one input automaton"):
+            reachable_tuples(())
 
     def test_full_letter_cap(self):
         with pytest.raises(CapExceeded):

@@ -14,7 +14,6 @@ from friendlyops import (
     UPSeq,
     accepts,
     at,
-    canonicalize,
     char_seq,
     char_tuple,
     format_char_tuple,
@@ -26,7 +25,6 @@ from friendlyops import (
     rho_shape,
     scale,
     scale_tuple,
-    upseq_eq,
     upseq_to_unary_dfa,
 )
 from friendlyops.errors import ParseError
@@ -46,30 +44,30 @@ def raw_at(prefix, period, p):
 class TestCanonicalize:
     def test_prefix_absorbed_into_period(self):
         # raw 0,1,1,1,... : value checked pointwise below
-        u = canonicalize((0, 1), (1, 1))
+        u = UPSeq((0, 1), (1, 1))
         assert (u.prefix, u.period) == ((0,), (1,))
         assert all(at(u, p) == raw_at((0, 1), (1, 1), p) for p in range(8))
 
     def test_repeated_period_collapses(self):
-        assert canonicalize((), (0, 1, 0, 1)) == UPSeq((), (0, 1))
+        assert UPSeq((), (0, 1, 0, 1)) == UPSeq((), (0, 1))
 
     def test_all_zero(self):
-        assert canonicalize((0,), (0,)) == UPSeq((), (0,))
+        assert UPSeq((0,), (0,)) == UPSeq((), (0,))
 
     def test_empty_period_rejected(self):
         with pytest.raises(ValueError):
-            canonicalize((0,), ())
+            UPSeq((0,), ())
 
     @given(prefixes, periods)
     def test_idempotent_and_value_preserving(self, prefix, period):
-        u = canonicalize(prefix, period)
-        assert canonicalize(u.prefix, u.period) == u
+        u = UPSeq(prefix, period)
+        assert UPSeq(u.prefix, u.period) == u
         bound = len(prefix) + len(period) + len(u.prefix) + 2 * len(u.period)
         assert all(at(u, p) == raw_at(prefix, period, p) for p in range(bound + 1))
 
     @given(prefixes, periods)
     def test_normal_form_is_minimal(self, prefix, period):
-        u = canonicalize(prefix, period)
+        u = UPSeq(prefix, period)
         if u.prefix:
             assert u.prefix[-1] != u.period[-1]
         for d in range(1, len(u.period)):
@@ -96,22 +94,22 @@ class TestAt:
 
 class TestEquality:
     def test_distinct(self):
-        assert not upseq_eq(parse_upseq("(0)"), parse_upseq("0(1)"))
+        assert parse_upseq("(0)") != parse_upseq("0(1)")
 
     def test_canonicalized_forms_agree(self):
-        assert upseq_eq(canonicalize((0, 1), (1, 1)), parse_upseq("0(1)"))
+        assert UPSeq((0, 1), (1, 1)) == parse_upseq("0(1)")
 
     @given(prefixes, periods)
     def test_reflexive(self, prefix, period):
-        u = canonicalize(prefix, period)
-        assert upseq_eq(u, u)
+        u = UPSeq(prefix, period)
+        assert u == u
 
     @given(prefixes, periods, prefixes, periods)
     def test_matches_pointwise_comparison(self, p1, q1, p2, q2):
-        u, v = canonicalize(p1, q1), canonicalize(p2, q2)
+        u, v = UPSeq(p1, q1), UPSeq(p2, q2)
         bound = max(len(u.prefix), len(v.prefix)) + lcm(len(u.period), len(v.period))
         pointwise = all(at(u, p) == at(v, p) for p in range(bound + 1))
-        assert upseq_eq(u, v) == pointwise
+        assert (u == v) == pointwise
 
 
 class TestScale:
@@ -133,12 +131,12 @@ class TestScale:
 
     @given(prefixes, periods, st.integers(0, 6), st.integers(0, 30))
     def test_soundness(self, prefix, period, m, p):
-        u = canonicalize(prefix, period)
+        u = UPSeq(prefix, period)
         assert at(scale(u, m), p) == at(u, m * p)
 
     @given(prefixes, periods, st.integers(0, 4), st.integers(0, 4))
     def test_composition(self, prefix, period, m1, m2):
-        u = canonicalize(prefix, period)
+        u = UPSeq(prefix, period)
         assert scale(scale(u, m1), m2) == scale(u, m1 * m2)
 
     def test_negative_rejected(self):
@@ -216,7 +214,7 @@ class TestUnaryDfa:
 
     @given(prefixes, periods)
     def test_accepts_matches_at(self, prefix, period):
-        u = canonicalize(prefix, period)
+        u = UPSeq(prefix, period)
         d = upseq_to_unary_dfa(u)
         assert d.n_states == len(u.prefix) + len(u.period)
         for p in range(len(u.prefix) + 2 * len(u.period) + 1):
