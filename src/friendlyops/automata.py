@@ -115,6 +115,8 @@ def nerode_partition(d: Dfa) -> list[int]:
 
     Classes are numbered by first occurrence in state order.  States are
     merged iff no word distinguishes them; reachability is not required.
+    Each refinement round is one pass over all states and letters, and
+    there can be up to n rounds, so a chain of n states costs O(n^2).
     """
     cls = [1 if q in d.finals else 0 for q in range(d.n_states)]
     n_classes = len(set(cls))
@@ -130,51 +132,77 @@ def nerode_partition(d: Dfa) -> list[int]:
 
 
 def _hopcroft_partition(d: Dfa) -> list[int]:
-    """Nerode classes via Hopcroft's splitter-worklist refinement."""
+    """Nerode classes via Hopcroft's splitter-worklist refinement.
+
+    Runs in O(m log n) for m transitions and n states (Hopcroft 1971),
+    over the array-based refinable partition of Valmari & Lehtinen
+    (STACS 2008): block b is the slice ``elems[first[b]:past[b]]``, the
+    states moved to its front ``elems[first[b]:marked[b]]`` are those hit
+    by the current splitter, and ``loc[q]`` is the index of q in ``elems``.
+    A split touches only the marked states and the smaller part; the
+    smaller part gets the new block id, so only its states are relabelled,
+    and it always joins the worklist (if the old id was queued, the larger
+    part stays queued under it).
+    """
     n = d.n_states
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in d.alphabet]
     for li, row in enumerate(d.trans):
         for q, t in enumerate(row):
             pre[li][t].append(q)
 
-    finals = set(d.finals)
-    first = {q for q in range(n) if q in finals}
-    second = set(range(n)) - first
-    blocks: list[set[int]] = []
-    for blk in (first, second):
-        if blk:
-            blocks.append(blk)
+    finals = d.finals
+    elems = [q for q in range(n) if q in finals] + [q for q in range(n) if q not in finals]
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    k = len(finals)
     block_of = [0] * n
-    for bi, blk in enumerate(blocks):
-        for q in blk:
-            block_of[q] = bi
-
-    worklist: set[int] = set()
-    if len(blocks) == 2:
-        worklist.add(0 if len(blocks[0]) <= len(blocks[1]) else 1)
+    if 0 < k < n:
+        first, past, marked = [0, k], [k, n], [0, k]
+        for q in elems[k:]:
+            block_of[q] = 1
+        worklist = [0 if k <= n - k else 1]
+    else:
+        first, past, marked = [0], [n], [0]
+        worklist = []
 
     while worklist:
         ai = worklist.pop()
-        splitter = tuple(blocks[ai])  # snapshot: blocks[ai] may be split below
-        for li in range(len(d.alphabet)):
-            touched: dict[int, set[int]] = {}
+        splitter = elems[first[ai] : past[ai]]  # snapshot: block ai may be split below
+        for pre_l in pre:
+            touched = []
             for t in splitter:
-                for q in pre[li][t]:
-                    touched.setdefault(block_of[q], set()).add(q)
-            for bi, hit in touched.items():
-                blk = blocks[bi]
-                if len(hit) == len(blk):
+                for q in pre_l[t]:
+                    b = block_of[q]
+                    m = marked[b]
+                    i = loc[q]
+                    if i >= m:  # not yet marked: swap q into the marked front
+                        if m == first[b]:
+                            touched.append(b)
+                        r = elems[m]
+                        elems[i] = r
+                        loc[r] = i
+                        elems[m] = q
+                        loc[q] = m
+                        marked[b] = m + 1
+            for b in touched:
+                lo, m, hi = first[b], marked[b], past[b]
+                marked[b] = lo
+                if m == hi:  # every state of b was hit: no split
                     continue
-                rest = blk - hit
-                ni = len(blocks)
-                blocks[bi] = hit
-                blocks.append(rest)
-                for q in rest:
-                    block_of[q] = ni
-                if bi in worklist:
-                    worklist.add(ni)
+                if m - lo <= hi - m:  # marked part is the smaller: it leaves
+                    first[b] = marked[b] = m
+                    hi = m
                 else:
-                    worklist.add(bi if len(hit) <= len(rest) else ni)
+                    past[b] = m
+                    lo = m
+                ni = len(first)
+                first.append(lo)
+                past.append(hi)
+                marked.append(lo)
+                for i in range(lo, hi):
+                    block_of[elems[i]] = ni
+                worklist.append(ni)
     return block_of
 
 
@@ -243,6 +271,11 @@ def preimage_dfa(d: Dfa, letter_map: Mapping[str, str]) -> Dfa:
 _HEADER = ("alphabet", "states", "initial", "final")
 
 
+def _is_nat(tok: str) -> bool:
+    """True iff tok is a nonempty run of ASCII digits 0-9."""
+    return tok.isascii() and tok.isdigit()
+
+
 def parse_dfa(text: str) -> Dfa:
     """Parse the "dfa v1" text format.
 
@@ -280,7 +313,7 @@ def parse_dfa(text: str) -> Dfa:
 
     def one_int(key: str) -> tuple[int, int]:
         ln, toks = header[key]
-        if len(toks) != 1 or not toks[0].lstrip("-").isdigit():
+        if len(toks) != 1 or not _is_nat(toks[0].removeprefix("-")):
             raise ParseError(f"line {ln}: '{key}' expects a single integer")
         return ln, int(toks[0])
 
@@ -303,7 +336,7 @@ def parse_dfa(text: str) -> Dfa:
     fln, final_toks = header["final"]
     finals = set()
     for tok in final_toks:
-        if not tok.isdigit():
+        if not _is_nat(tok):
             raise ParseError(f"line {fln}: 'final' expects integers")
         q = int(tok)
         if not 0 <= q < n:
@@ -324,7 +357,7 @@ def parse_dfa(text: str) -> Dfa:
             raise ParseError(f"line {ln}: expected {n} images, got {len(imgs)}")
         row = []
         for tok in imgs:
-            if not tok.isdigit():
+            if not _is_nat(tok):
                 raise ParseError(f"line {ln}: images must be integers")
             v = int(tok)
             if v >= n:

@@ -47,10 +47,25 @@ def _predicate(args: argparse.Namespace) -> EPredicate:
     return wheel_builtin(args.wheel)
 
 
+def _int_arg(text: str) -> int:
+    """argparse type for integer flags: ASCII digits with an optional leading '-'."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _add_predicate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", help="operation expression, e.g. '(root[2](L1) | L2) & !L3'")
     p.add_argument("--eset", help="path to an 'eset v1' file of characteristic tuples")
-    p.add_argument("--wheel", type=int, help="arity of the built-in wheel predicate")
+    p.add_argument("--wheel", type=_int_arg, help="arity of the built-in wheel predicate")
+
+
+def _parse_size(text: str, entry: str) -> int:
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"bad size entry {entry!r}")
+    return int(text)
 
 
 def _parse_sizes(text: str) -> list[tuple[int, ...]]:
@@ -60,13 +75,13 @@ def _parse_sizes(text: str) -> list[tuple[int, ...]]:
         entry = entry.strip()
         if ".." in entry:
             lo_s, _, hi_s = entry.partition("..")
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _parse_size(lo_s, entry), _parse_size(hi_s, entry)
             if lo < 1 or hi < lo:
                 raise ParseError(f"bad size range {entry!r}")
             out.extend((n,) for n in range(lo, hi + 1))
         else:
-            sizes = tuple(int(t) for t in entry.split("x"))
-            if not sizes or any(n < 1 for n in sizes):
+            sizes = tuple(_parse_size(t, entry) for t in entry.split("x"))
+            if any(n < 1 for n in sizes):
                 raise ParseError(f"bad size entry {entry!r}")
             out.append(sizes)
     return out
@@ -142,7 +157,7 @@ def cmd_sc(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="friendlyops", description=__doc__)
-    parser.add_argument("--max-states", type=int, default=10**6, dest="max_states",
+    parser.add_argument("--max-states", type=_int_arg, default=10**6, dest="max_states",
                         help="cap on constructed states/letters (default 1000000)")
     parser.add_argument("--format", choices=("csv", "md"), default="csv",
                         help="table output format (default csv)")
@@ -186,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check a build against direct word membership")
     _add_predicate_flags(p)
     p.add_argument("--dfa", action="append", required=True)
-    p.add_argument("--maxlen", type=int, default=7)
+    p.add_argument("--maxlen", type=_int_arg, default=7)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sc", help="measure state complexity on monster witnesses")

@@ -104,7 +104,7 @@ def format_expr(e: OpExpr) -> str:
     return f"({format_expr(e.left)} {op} {format_expr(e.right)})"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<word>[A-Za-z]+)|(?P<sym>[!&^|()\[\]]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<word>[A-Za-z]+)|(?P<sym>[!&^|()\[\]]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

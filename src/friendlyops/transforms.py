@@ -160,8 +160,8 @@ def tn_generators(n: int) -> list[TransFn]:
     return [cycle, swap01, drop]
 
 
-_TOKEN_GROUP_RE = re.compile(r"\[(\d+(?:,\d+)*)\]")
-_TOKEN_RE = re.compile(r"(?:\[\d+(?:,\d+)*\])+")
+_TOKEN_GROUP_RE = re.compile(r"\[([0-9]+(?:,[0-9]+)*)\]")
+_TOKEN_RE = re.compile(r"(?:\[[0-9]+(?:,[0-9]+)*\])+")
 
 
 def fn_token(ft: TransTuple) -> str:

@@ -182,10 +182,9 @@ def parse_eset(text: str) -> tuple[int, list[CharTuple]]:
     toks = head.split()
     if len(toks) != 3 or toks[0] != "eset" or toks[1] != "v1" or not toks[2].startswith("k="):
         raise ParseError(f"line {ln}: malformed header, expected 'eset v1 k=<k>'")
-    try:
-        k = int(toks[2][2:])
-    except ValueError:
-        raise ParseError(f"line {ln}: malformed arity in header") from None
+    if not re.fullmatch(r"-?[0-9]+", toks[2][2:]):
+        raise ParseError(f"line {ln}: malformed arity in header")
+    k = int(toks[2][2:])
     if k < 1:
         raise ParseError(f"line {ln}: arity must be positive")
     tuples = []

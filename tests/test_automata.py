@@ -18,6 +18,7 @@ from friendlyops import (
 )
 from friendlyops.errors import ParseError
 from friendlyops.experiments import random_dfa
+from friendlyops.upseq import UPSeq, upseq_to_unary_dfa
 
 
 class TestParse:
@@ -55,6 +56,11 @@ class TestParse:
             ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal\ntrans a: 0\n", "expected 2 images"),
             ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal\ntrans b: 0 0\ntrans a: 0 0\n", "unknown letter"),
             ("dfa v1\nalphabet a\nstates 2\ninitial 0\nstates 2\nfinal\ntrans a: 0 0\n", "duplicate 'states'"),
+            # integers are ASCII digits, with at most one leading '-' where a sign is allowed
+            ("dfa v1\nalphabet a\nstates --2\ninitial 0\nfinal\ntrans a: 0 0\n", "line 3: 'states' expects"),
+            ("dfa v1\nalphabet a\nstates 2\ninitial \u0660\nfinal\ntrans a: 0 0\n", "line 4: 'initial' expects"),
+            ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal \u00b2\ntrans a: 0 0\n", "line 5: 'final' expects"),
+            ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal\ntrans a: 0 \u0661\n", "line 6: images must be"),
         ],
     )
     def test_errors_carry_line_numbers(self, doc, message):
@@ -113,6 +119,11 @@ class TestAccessiblePart:
         assert accessible_part(FIG2).n_states == 4
 
 
+def _chain(n: int) -> Dfa:
+    """a^(n-1) a*: the states 0 -> 1 -> ... -> n-1, only the last one final and looping."""
+    return Dfa(("a",), n, 0, {n - 1}, (tuple(min(q + 1, n - 1) for q in range(n)),))
+
+
 class TestMinimize:
     def test_square_root_figure_merges_to_three(self):
         # independent oracle: signature counting over all short words
@@ -134,6 +145,33 @@ class TestMinimize:
             assert minimize(m) == m
             assert equivalent(d, m)
             assert m.n_states == brute_min_states(d)
+
+    def test_agrees_with_moore_random_larger(self):
+        # 8-60 states reach both split branches; every fifth DFA has no or only final states
+        rng = random.Random(3)
+        for i in range(300):
+            n = rng.randint(8, 60)
+            d = random_dfa(rng, n, tuple("abcd"[: rng.randint(1, 4)]))
+            if i % 10 == 0:
+                d = Dfa(d.alphabet, n, d.initial, frozenset(), d.trans)
+            elif i % 10 == 5:
+                d = Dfa(d.alphabet, n, d.initial, frozenset(range(n)), d.trans)
+            assert assert_minimize_agree(d).n_states <= n
+
+    def test_unary_chain_keeps_every_state(self):
+        assert assert_minimize_agree(_chain(300)).n_states == 300
+
+    def test_unary_sequence_with_long_prefix_and_period(self):
+        rng = random.Random(4)
+        u = UPSeq(tuple(rng.randrange(2) for _ in range(150)), tuple(rng.randrange(2) for _ in range(97)))
+        d = upseq_to_unary_dfa(u)
+        assert d.n_states > 200
+        assert assert_minimize_agree(d).n_states == d.n_states
+
+    def test_long_chain_hopcroft(self):
+        # each round splits one state off the big block: quadratic unless
+        # only the smaller part is moved
+        assert minimize(_chain(20_000), "hopcroft").n_states == 20_000
 
     def test_no_finals_collapses(self):
         d = Dfa(("a",), 4, 0, set(), ((1, 2, 3, 0),))

@@ -90,6 +90,13 @@ class TestMinimize:
         assert main(["minimize", str(bad)]) == 2
         assert "image out of range" in capsys.readouterr().err
 
+    def test_malformed_integer_is_positioned_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dfa"
+        bad.write_text("dfa v1\nalphabet a\nstates --2\ninitial 0\nfinal\ntrans a: 0 0\n")
+        assert main(["minimize", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3:") and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["minimize", str(tmp_path / "nope.dfa")]) == 2
 
@@ -166,6 +173,17 @@ class TestSc:
 
     def test_bad_sizes(self, capsys):
         assert main(["sc", "--wheel", "1", "--sizes", "5..2"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["\u0662..3", "2x\u0663", "1_0", "+2"])
+    def test_non_ascii_sizes_are_usage_errors(self, capsys, sizes):
+        assert main(["sc", "--wheel", "1", "--sizes", sizes]) == 2
+        assert capsys.readouterr().err.startswith("error: bad size entry")
+
+    def test_non_ascii_integer_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sc", "--wheel", "\u0661", "--sizes", "2"])
+        assert exc.value.code == 2
+        assert "invalid integer" in capsys.readouterr().err
 
 
 class TestUsage:

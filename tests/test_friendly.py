@@ -74,6 +74,8 @@ class TestParseExpr:
 
     @pytest.mark.parametrize(
         "bad", ["", "L0", "L", "wheel 0", "root[2](L1", "L1 &", "& L1", "L1 L2", "root(L1)", "foo"]
+        # integers are ASCII digits only
+        + ["L\u0661 & root[\u0662](L1)", "root[\u0662](L1)", "L1\u00b2"]
         + [pytest.param(text, id=f"too-deep-{name}") for name, text in TOO_DEEP.items()]
     )
     def test_syntax_errors_carry_position(self, bad):

@@ -204,7 +204,7 @@ class TestTokens:
             )
             assert token_fn(fn_token(ft)) == ft
 
-    @pytest.mark.parametrize("bad", ["", "[]", "[1,2", "1,0", "[a,b]", "[2,0]", "[0,1] [1,0]"])
+    @pytest.mark.parametrize("bad", ["", "[]", "[1,2", "1,0", "[a,b]", "[2,0]", "[0,1] [1,0]", "[\u0661,0]", "[0,1][\u00b2]"])
     def test_malformed(self, bad):
         with pytest.raises(ParseError):
             token_fn(bad)

@@ -255,6 +255,7 @@ class TestEsetFormat:
             ("", "malformed header"),
             ("eset v2 k=1\n", "malformed header"),
             ("eset v1 k=x\n", "malformed arity"),
+            ("eset v1 k=\u0661\n", "malformed arity"),
             ("eset v1 k=0\n", "arity must be positive"),
             ("eset v1 k=1\n(0),(1)\n", "expected 1 components"),
             ("eset v1 k=1\nnope\n", "malformed sequence literal"),
