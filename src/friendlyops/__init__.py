@@ -36,7 +36,6 @@ from .experiments import (
 from .friendly import (
     And,
     Arg,
-    Builtin,
     Compiled,
     EPredicate,
     Explicit,

@@ -227,10 +227,13 @@ def minimize(d: Dfa, algo: str = "hopcroft") -> Dfa:
             reps.append(q)
     cls = [relabel[c] for c in part]
 
+    # h is numbered breadth-first and classes by first occurrence in h, so
+    # the quotient is already in canonical breadth-first order: the first
+    # state of a class is reached from some (p, a), and (rep of p's class, a)
+    # is no later and lands in the same class.
     rows = tuple(tuple(cls[row[rep]] for rep in reps) for row in h.trans)
     finals = frozenset(c for c, rep in enumerate(reps) if rep in h.finals)
-    quotient = Dfa(h.alphabet, len(reps), cls[h.initial], finals, rows)
-    return accessible_part(quotient)
+    return Dfa(h.alphabet, len(reps), cls[h.initial], finals, rows)
 
 
 def _with_alphabet_order(d: Dfa, order: tuple[str, ...]) -> Dfa:

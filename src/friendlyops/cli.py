@@ -17,7 +17,7 @@ from .automata import Dfa, accepts, equivalent, minimize, parse_dfa, print_dfa, 
 from .errors import CapExceeded, ParseError
 from .experiments import ScRow, sc_on_witness, sc_table
 from .friendly import Compiled, EPredicate, explicit_from_file, parse_expr, wheel_builtin, word_oracle
-from .modifiers import build_standard_detailed
+from .modifiers import DEFAULT_MAX_STATES, build_standard_detailed
 from .monsters import MonsterSpec, monster
 
 
@@ -157,8 +157,8 @@ def cmd_sc(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="friendlyops", description=__doc__)
-    parser.add_argument("--max-states", type=_int_arg, default=10**6, dest="max_states",
-                        help="cap on constructed states/letters (default 1000000)")
+    parser.add_argument("--max-states", type=_int_arg, default=DEFAULT_MAX_STATES, dest="max_states",
+                        help="cap on constructed states/letters (default %(default)s)")
     parser.add_argument("--format", choices=("csv", "md"), default="csv",
                         help="table output format (default csv)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,7 +15,6 @@ from .automata import Dfa, minimize, nerode_partition
 from .friendly import (
     And,
     Arg,
-    Builtin,
     Compiled,
     EPredicate,
     Explicit,
@@ -24,6 +23,7 @@ from .friendly import (
     Or,
     RootM,
     RootStar,
+    Wheel,
     Xor,
     format_expr,
     wheel_builtin,
@@ -93,7 +93,7 @@ _SQRT_EXPR = RootM(2, Arg(1))
 
 def predicted_sc(pred: EPredicate, sizes: Sequence[int]) -> int | None:
     """Closed-form worst case on monsters, for the predicates that have one."""
-    if isinstance(pred, Builtin) and pred.name == "wheel":
+    if isinstance(pred, Compiled) and isinstance(pred.expr, Wheel):
         if pred.arity == 1:
             n = sizes[0]
             return n**n - n + 1
@@ -105,8 +105,6 @@ def predicted_sc(pred: EPredicate, sizes: Sequence[int]) -> int | None:
 
 
 def pred_name(pred: EPredicate) -> str:
-    if isinstance(pred, Builtin):
-        return f"wheel {pred.arity}"
     if isinstance(pred, Compiled):
         return format_expr(pred.expr)
     return f"eset-k{pred.arity}-m{len(pred.tuples)}"
@@ -118,17 +116,19 @@ def sc_on_witness(
     alphabet_kind: str = "generators",
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    name: str | None = None,
 ) -> ScRow:
-    """Measure the state complexity of the operation on a monster witness."""
+    """Measure the state complexity of the operation on a monster witness.
+
+    ``max_states`` caps both the monster's letters and the built states.
+    """
     if pred.arity != len(sizes):
         raise ValueError(f"arity mismatch: {len(sizes)} sizes, predicate needs {pred.arity}")
-    dfas = monster(MonsterSpec(tuple(sizes), alphabet_kind))
+    dfas = monster(MonsterSpec(tuple(sizes), alphabet_kind), max_letters=max_states)
     built = build_standard(pred, dfas, "accessible", max_states=max_states)
     sc = minimize(built).n_states
     predicted = predicted_sc(pred, sizes)
     return ScRow(
-        name if name is not None else pred_name(pred),
+        pred_name(pred),
         tuple(sizes),
         sc,
         predicted,
@@ -210,7 +210,7 @@ def unary_bound_audit(trials: int, n: int, seed: int) -> BoundAuditReport:
     return BoundAuditReport(n, trials, seed, bound, max_sc, tuple(violations))
 
 
-def gst_class_audit(pred: EPredicate, dfa: Dfa, *, max_states: int = DEFAULT_MAX_STATES) -> int:
+def gst_class_audit(pred: EPredicate, dfa: Dfa) -> int:
     """Count Nerode classes among the final-set collapse maps.
 
     The audited maps send every final state of the input to one point s
@@ -219,7 +219,7 @@ def gst_class_audit(pred: EPredicate, dfa: Dfa, *, max_states: int = DEFAULT_MAX
     """
     if pred.arity != 1:
         raise ValueError("the audit is unary")
-    build = build_standard_detailed(pred, (dfa,), "full", max_states=max_states)
+    build = build_standard_detailed(pred, (dfa,), "full")
     part = nerode_partition(build.dfa)
     n = dfa.n_states
     classes = set()
@@ -230,14 +230,14 @@ def gst_class_audit(pred: EPredicate, dfa: Dfa, *, max_states: int = DEFAULT_MAX
     return len(classes)
 
 
-def distinguishability_audit(n: int, *, max_states: int = DEFAULT_MAX_STATES) -> DistinguishabilityReport:
+def distinguishability_audit(n: int) -> DistinguishabilityReport:
     """Census of Nerode classes of the wheel build on the size-n monster.
 
     The expected picture: the n constant maps share one class and every
     other map is alone in its class, for n^n - n + 1 classes in total.
     """
     dfas = monster(MonsterSpec((n,), "generators"))
-    build = build_standard_detailed(wheel_builtin(1), dfas, "accessible", max_states=max_states)
+    build = build_standard_detailed(wheel_builtin(1), dfas, "accessible")
     part = nerode_partition(build.dfa)
     members: dict[int, list[int]] = {}
     for sid, cls in enumerate(part):

@@ -2,9 +2,10 @@
 
 Expressions combine language arguments with boolean connectives, fixed
 roots ``root[m]`` (membership of the m-th power) and the infinitary
-``Root`` (some positive power is a member).  An ``EPredicate`` is the
+``Root`` (some positive power is a member), plus the ``wheel k`` atom,
+the witness predicate of the tight bound.  An ``EPredicate`` is the
 decidable stand-in for a set of characteristic tuples: an explicit finite
-set, a compiled expression, or the named ``wheel`` family.
+set or a compiled expression.
 
 Evaluation happens on ``CharTuple`` values.  An argument ``Lj`` reads the
 bit at index 1 of component j (a word is its own first power); a root
@@ -266,32 +267,18 @@ class Compiled:
         return expr_arity(self.expr)
 
 
-@dataclass(frozen=True)
-class Builtin:
-    """A named predicate family; only "wheel" exists."""
-
-    name: str
-    arity: int
-
-    def __post_init__(self) -> None:
-        if self.name != "wheel":
-            raise ValueError(f"unknown builtin {self.name!r}")
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
+EPredicate = Union[Explicit, Compiled]
 
 
-EPredicate = Union[Explicit, Compiled, Builtin]
-
-
-def wheel_builtin(k: int) -> Builtin:
-    """The wheel predicate: every component constant-0 or 0-then-1.
+def wheel_builtin(k: int) -> Compiled:
+    """The wheel predicate ``wheel k``: every component constant-0 or 0-then-1.
 
     For k = 1 that is the whole condition; for k >= 2 the all-zero tuple
     is excluded.
     """
     if k < 1:
         raise ValueError("wheel arity must be positive")
-    return Builtin("wheel", k)
+    return Compiled(Wheel(k))
 
 
 def _wheel_member(components: Sequence) -> bool:
@@ -302,50 +289,42 @@ def _wheel_member(components: Sequence) -> bool:
     return any(u != ZERO for u in components)
 
 
-def eval_expr(e: OpExpr, chi: CharTuple, *, scan_cap: int = DEFAULT_SCAN_CAP) -> bool:
+def eval_expr(e: OpExpr, chi: CharTuple) -> bool:
     """Evaluate an expression on a characteristic tuple."""
     if isinstance(e, Arg):
         return at(chi.components[e.index - 1], 1) == 1
     if isinstance(e, Wheel):
         return _wheel_member(chi.components[: e.k])
     if isinstance(e, Not):
-        return not eval_expr(e.inner, chi, scan_cap=scan_cap)
+        return not eval_expr(e.inner, chi)
     if isinstance(e, And):
-        return eval_expr(e.left, chi, scan_cap=scan_cap) and eval_expr(e.right, chi, scan_cap=scan_cap)
+        return eval_expr(e.left, chi) and eval_expr(e.right, chi)
     if isinstance(e, Or):
-        return eval_expr(e.left, chi, scan_cap=scan_cap) or eval_expr(e.right, chi, scan_cap=scan_cap)
+        return eval_expr(e.left, chi) or eval_expr(e.right, chi)
     if isinstance(e, Xor):
-        return eval_expr(e.left, chi, scan_cap=scan_cap) != eval_expr(e.right, chi, scan_cap=scan_cap)
+        return eval_expr(e.left, chi) != eval_expr(e.right, chi)
     if isinstance(e, RootM):
-        return eval_expr(e.inner, scale_tuple(chi, e.m), scan_cap=scan_cap)
+        return eval_expr(e.inner, scale_tuple(chi, e.m))
     if isinstance(e, RootStar):
         bound = max(len(u.prefix) for u in chi.components) + lcm(*(len(u.period) for u in chi.components))
-        if bound > scan_cap:
-            raise CapExceeded(f"Root scan bound {bound} exceeds cap {scan_cap}")
-        return any(eval_expr(e.inner, scale_tuple(chi, p), scan_cap=scan_cap) for p in range(1, bound + 1))
+        if bound > DEFAULT_SCAN_CAP:
+            raise CapExceeded(f"Root scan bound {bound} exceeds cap {DEFAULT_SCAN_CAP}")
+        return any(eval_expr(e.inner, scale_tuple(chi, p)) for p in range(1, bound + 1))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def eval_pred(pred: EPredicate, chi: CharTuple, *, scan_cap: int = DEFAULT_SCAN_CAP) -> bool:
+def eval_pred(pred: EPredicate, chi: CharTuple) -> bool:
     """Membership of a characteristic tuple in the predicate's set."""
     if chi.arity != pred.arity:
         raise ValueError(f"arity mismatch: tuple has {chi.arity}, predicate needs {pred.arity}")
     if isinstance(pred, Explicit):
         return chi in pred.tuples
     if isinstance(pred, Compiled):
-        return eval_expr(pred.expr, chi, scan_cap=scan_cap)
-    if isinstance(pred, Builtin):
-        return _wheel_member(chi.components)
+        return eval_expr(pred.expr, chi)
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def word_oracle(
-    pred: EPredicate,
-    dfas: Sequence[Dfa],
-    word: Sequence[str],
-    *,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> bool:
+def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str]) -> bool:
     """Direct word-membership test for the operation named by ``pred``.
 
     Folds the word into one transition function per input automaton and
@@ -362,7 +341,7 @@ def word_oracle(
             raise ValueError(f"unknown letter {tok!r}")
         f = tuple_compose(step[tok], f)
     chi = char_tuple(f, [d.initial for d in dfas], [d.finals for d in dfas])
-    return eval_pred(pred, chi, scan_cap=scan_cap)
+    return eval_pred(pred, chi)
 
 
 def explicit_from_file(text: str) -> Explicit:

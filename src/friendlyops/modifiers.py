@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .automata import Dfa
 from .errors import CapExceeded
-from .friendly import DEFAULT_SCAN_CAP, EPredicate, eval_pred
+from .friendly import EPredicate, eval_pred
 from .transforms import (
     TransFn,
     TransTuple,
@@ -223,7 +223,7 @@ def _random_tuple(rng: random.Random, sizes: tuple[int, ...]) -> TransTuple:
     return TransTuple(tuple(TransFn(tuple(rng.randrange(n) for _ in range(n))) for n in sizes))
 
 
-def standardize(m: Modifier, *, samples: int = 16, seed: int = 0) -> Modifier:
+def standardize(m: Modifier) -> Modifier:
     """Rebuild a modifier in standard shape; the language is preserved.
 
     The result's states are full function tuples, its initial state the
@@ -232,16 +232,17 @@ def standardize(m: Modifier, *, samples: int = 16, seed: int = 0) -> Modifier:
     letter, would move its initial state into its final set.
 
     Composition-compatibility of the original's action is a precondition;
-    it is checked on ``samples`` seeded random pairs per configuration and
-    a violation raises ValueError with the counterexample.
+    it is checked per configuration on 16 random pairs drawn from
+    ``random.Random(0)``, and a violation raises ValueError with the
+    counterexample.
     """
     checked: set[StateConfig] = set()
 
     def ensure(cfg: StateConfig) -> None:
         if cfg in checked:
             return
-        rng = random.Random(seed)
-        for _ in range(samples):
+        rng = random.Random(0)
+        for _ in range(16):
             phi = _random_tuple(rng, cfg.sizes)
             psi = _random_tuple(rng, cfg.sizes)
             left = m.action(cfg, tuple_compose(phi, psi))
@@ -316,7 +317,6 @@ def build_standard_detailed(
     mode: str = "accessible",
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> StandardBuild:
     """Standard-modifier build that also reports the state encodings.
 
@@ -350,7 +350,7 @@ def build_standard_detailed(
         chi = char_tuple(f, cfg.initials, cfg.finals)
         hit = memo.get(chi)
         if hit is None:
-            hit = memo[chi] = eval_pred(pred, chi, scan_cap=scan_cap)
+            hit = memo[chi] = eval_pred(pred, chi)
         if hit:
             final_ids.append(sid)
     dfa = Dfa(alphabet, len(order), init, frozenset(final_ids), rows)
@@ -363,7 +363,6 @@ def build_standard(
     mode: str = "accessible",
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> Dfa:
     """Standard-modifier build; see build_standard_detailed."""
-    return build_standard_detailed(pred, dfas, mode, max_states=max_states, scan_cap=scan_cap).dfa
+    return build_standard_detailed(pred, dfas, mode, max_states=max_states).dfa

@@ -26,8 +26,6 @@ from .transforms import (
     tuple_space_size,
 )
 
-DEFAULT_MAX_LETTERS = 10**6
-
 
 @dataclass(frozen=True)
 class MonsterSpec:
@@ -49,7 +47,7 @@ class MonsterSpec:
             raise ValueError(f"unknown alphabet kind {self.alphabet_kind!r}")
 
 
-def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_LETTERS) -> tuple[Dfa, ...]:
+def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> tuple[Dfa, ...]:
     """Build the coordinate DFAs of a monster on their common alphabet."""
     sizes = spec.sizes
     if spec.alphabet_kind == "full":

@@ -105,7 +105,7 @@ def tuple_identity(sizes: Iterable[int]) -> TransTuple:
 
 def tuple_compose(f: TransTuple, g: TransTuple) -> TransTuple:
     """Componentwise composition of two tuples of matching shape."""
-    if f.sizes != g.sizes:
+    if len(f.components) != len(g.components):
         raise ValueError(f"shape mismatch: {f.sizes} vs {g.sizes}")
     return TransTuple(tuple(compose(a, b) for a, b in zip(f.components, g.components)))
 

@@ -133,7 +133,7 @@ def char_tuple(ft: TransTuple, initials: Sequence[int], finals: Sequence[Iterabl
     return CharTuple(tuple(char_seq(f, i, fs) for f, i, fs in zip(ft.components, initials, finals)))
 
 
-def upseq_to_unary_dfa(u: UPSeq, letter: str = "a") -> Dfa:
+def upseq_to_unary_dfa(u: UPSeq) -> Dfa:
     """A one-letter DFA accepting exactly the powers a^p with bit p set.
 
     States follow the prefix then loop through the period, so the DFA has
@@ -143,7 +143,7 @@ def upseq_to_unary_dfa(u: UPSeq, letter: str = "a") -> Dfa:
     n = a + b
     row = tuple(p + 1 if p + 1 < n else a for p in range(n))
     finals = frozenset(p for p in range(n) if at(u, p) == 1)
-    return Dfa((letter,), n, 0, finals, (row,))
+    return Dfa(("a",), n, 0, finals, (row,))
 
 
 _UPSEQ_RE = re.compile(r"([01]*)\(([01]+)\)")

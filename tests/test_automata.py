@@ -173,6 +173,23 @@ class TestMinimize:
         # only the smaller part is moved
         assert minimize(_chain(20_000), "hopcroft").n_states == 20_000
 
+    def test_quotient_is_already_canonical(self):
+        # minimize returns its quotient without renumbering it again
+        rng = random.Random(6)
+        for _ in range(300):
+            n, extra = rng.randint(1, 30), rng.randint(1, 5)
+            letters = tuple("abcd"[: rng.randint(1, 4)])
+            # no transition enters the states n .. n+extra-1, and the initial state is below n
+            rows = tuple(
+                tuple(rng.randrange(n) for _ in range(n)) + tuple(rng.randrange(n + extra) for _ in range(extra))
+                for _ in letters
+            )
+            finals = frozenset(q for q in range(n + extra) if rng.random() < 0.5)
+            d = Dfa(letters, n + extra, rng.randrange(n), finals, rows)
+            for algo in ("hopcroft", "moore"):
+                m = minimize(d, algo)
+                assert accessible_part(m) == m
+
     def test_no_finals_collapses(self):
         d = Dfa(("a",), 4, 0, set(), ((1, 2, 3, 0),))
         assert minimize(d).n_states == 1

@@ -171,6 +171,19 @@ class TestSc:
         assert main(["--format", "md", "sc", "--wheel", "2", "--sizes", "2x2"]) == 0
         assert "| wheel 2 | 2x2 | 16 | 16 | true |" in capsys.readouterr().out
 
+    def test_wheel_expression_is_predicted(self, capsys):
+        assert main(["sc", "--expr", "wheel 1", "--sizes", "2..3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "op,sizes,sc,predicted,match",
+            "wheel 1,2,3,3,true",
+            "wheel 1,3,25,25,true",
+        ]
+
+    def test_letter_cap_refuses_full_alphabet(self, capsys):
+        assert main(["--max-states", "1000", "sc", "--wheel", "1", "--kind", "full", "--sizes", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: full alphabet has 46656 letters, cap is 1000\n"
+
     def test_bad_sizes(self, capsys):
         assert main(["sc", "--wheel", "1", "--sizes", "5..2"]) == 2
 

@@ -141,8 +141,10 @@ class TestEvalPred:
         assert eval_pred(pred, parse_char_tuple("1(0)"))
 
     def test_scan_cap(self):
+        # periods 1009 and 1013 are prime: the scan bound 1009 * 1013 = 1,022,117 exceeds the cap
+        chi = parse_char_tuple("(1" + "0" * 1008 + "),(1" + "0" * 1012 + ")")
         with pytest.raises(CapExceeded):
-            eval_pred(Compiled(parse_expr("Root(L1)")), parse_char_tuple("(01)"), scan_cap=1)
+            eval_pred(Compiled(parse_expr("Root(L1 & L2)")), chi)
 
 
 class TestRootStarBound:
@@ -220,6 +222,7 @@ class TestWheelCharacterization:
     def test_wheel_atom_matches_builtin(self):
         w2 = wheel_builtin(2)
         pred = Compiled(Wheel(2))
+        assert w2 == pred
         rng = random.Random(23)
         for _ in range(100):
             chi = random_char_tuple(rng, 2)

@@ -110,9 +110,10 @@ class TestTupleCompose:
         # component 1: swap o c1 = [0,0]; component 2: c1 o swap = [1,1]
         assert result == TransTuple((TransFn((0, 0)), TransFn((1, 1))))
 
-    def test_shape_mismatch(self):
+    @pytest.mark.parametrize("left, right", [((2,), (3,)), ((2,), (2, 2))], ids=["sizes", "count"])
+    def test_shape_mismatch(self, left, right):
         with pytest.raises(ValueError):
-            tuple_compose(tuple_identity((2,)), tuple_identity((3,)))
+            tuple_compose(tuple_identity(left), tuple_identity(right))
 
 
 def brute_rho(f, start):
