@@ -16,8 +16,10 @@ in that shape without changing the recognized language.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .automata import Dfa
@@ -26,20 +28,27 @@ from .friendly import EPredicate, eval_pred
 from .transforms import (
     TransFn,
     TransTuple,
+    all_fns,
     all_tuples,
     compose,
     fn_token,
     fn_unrank,
     letter_tuples,
+    rho_walk,
     tuple_compose,
     tuple_identity,
     tuple_rank,
     tuple_space_size,
     tuple_unrank,
 )
-from .upseq import char_tuple
+from .upseq import CharTuple, char_tuple
 
 DEFAULT_MAX_STATES = 10**6
+# A build may perform this many transitions (states times letters) per state of its cap.
+TRANSITIONS_PER_STATE = 10
+
+# Per coordinate, the images of each distinct component, indexed by component id.
+Components = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -271,41 +280,153 @@ def standardize(m: Modifier) -> Modifier:
     return Modifier(m.arity, _std_n_states, initial, is_final, action, _std_label)
 
 
+def _work_cap(n_tuples: int, n_letters: int, max_states: int) -> CapExceeded:
+    work = TRANSITIONS_PER_STATE * max_states
+    return CapExceeded(f"{n_tuples} tuples x {n_letters} letters exceed the cap of {work} transitions")
+
+
 def accessible_tuples(
     letters: Sequence[TransTuple], start: TransTuple, max_states: int
-) -> tuple[list[TransTuple], tuple[tuple[int, ...], ...]]:
+) -> tuple[Components, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The tuples reachable from ``start`` by composing letters on the left.
 
-    Tuples are numbered breadth-first in discovery order, letters scanned
-    in the given order; ``rows[li][s]`` is the number of ``letters[li] o
-    order[s]``.  More than ``max_states`` tuples raise CapExceeded.
+    Returns ``(components, coords, rows)``.  A tuple is kept as the ids of
+    its components: coordinate j interns each distinct component once, by
+    its images ``components[j][id]`` (id 0 is ``start``'s), and
+    ``coords[j][s]`` is the id of tuple s's j-th component.  Tuples are
+    numbered breadth-first in discovery order, letters scanned in the
+    given order; ``rows[li][s]`` is the number of ``letters[li] o`` tuple
+    s.  A letter acts on coordinate j through a table of successor ids
+    that ``tuple_compose`` fills the first time a letter component meets a
+    component, so each distinct pair is composed once.
+
+    More than ``max_states`` tuples, or more than
+    ``TRANSITIONS_PER_STATE * max_states`` transitions (tuples times
+    letters), raise CapExceeded.
     """
-    order = [start]
-    index = {start: 0}
+    k = start.k
+    radix = [f.n**f.n for f in start.components]
+    components = [[f.images] for f in start.components]
+    ids = [{f.images: 0} for f in start.components]
+    letter_components: list[list[TransTuple]] = [[] for _ in range(k)]
+    letter_ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
+    # succ[j][a][c]: id of letter component a o component c, -1 until composed
+    succ: list[list[list[int]]] = [[] for _ in range(k)]
+    acts = []
+    for lt in letters:
+        if lt.k != k:
+            raise ValueError(f"shape mismatch: {lt.sizes} vs {start.sizes}")
+        act = []
+        for j, f in enumerate(lt.components):
+            a = letter_ids[j].get(f.images)
+            if a is None:
+                a = letter_ids[j][f.images] = len(letter_components[j])
+                letter_components[j].append(TransTuple((f,)))
+                succ[j].append([-1] * len(components[j]))
+            act.append(a)
+        acts.append(act)
+
+    def fill(j: int, a: int, c: int) -> int:
+        g = TransTuple((TransFn(components[j][c]),))
+        images = tuple_compose(letter_components[j][a], g).components[0].images
+        cid = ids[j].get(images)
+        if cid is None:
+            cid = ids[j][images] = len(components[j])
+            components[j].append(images)
+            for row in succ[j]:
+                row.append(-1)
+        succ[j][a][c] = cid
+        return cid
+
+    work_limit = TRANSITIONS_PER_STATE * max_states // max(len(letters), 1)
+    if work_limit < 1:
+        raise _work_cap(1, len(letters), max_states)
+    index = {0: 0}  # mixed-radix key of a tuple's component ids -> tuple number
+    coords: list[list[int]] = [[0] for _ in range(k)]
     grow: list[list[int]] = [[] for _ in letters]
     i = 0
-    while i < len(order):
-        f = order[i]
+    while i < len(index):
+        here = [ids_j[i] for ids_j in coords]
         i += 1
-        for li, lt in enumerate(letters):
-            g = tuple_compose(lt, f)
-            sid = index.get(g)
+        for act, row in zip(acts, grow):
+            key = 0
+            for j, a in enumerate(act):
+                c = succ[j][a][here[j]]
+                if c < 0:
+                    c = fill(j, a, here[j])
+                key = key * radix[j] + c
+            sid = index.get(key)
             if sid is None:
-                if len(order) >= max_states:
+                sid = len(index)
+                if sid >= max_states:
                     raise CapExceeded(f"more than {max_states} reachable tuples")
-                sid = len(order)
-                index[g] = sid
-                order.append(g)
-            grow[li].append(sid)
-    return order, tuple(tuple(r) for r in grow)
+                if sid >= work_limit:
+                    raise _work_cap(sid + 1, len(letters), max_states)
+                index[key] = sid
+                for j, a in enumerate(act):
+                    coords[j].append(succ[j][a][here[j]])
+            row.append(sid)
+    return tuple(map(tuple, components)), tuple(map(tuple, coords)), tuple(map(tuple, grow))
+
+
+def _final_states(
+    pred: EPredicate,
+    cfg: StateConfig,
+    components: Components,
+    coords: tuple[tuple[int, ...], ...],
+) -> frozenset[int]:
+    """The states whose characteristic tuple satisfies ``pred``.
+
+    A state's characteristic tuple depends only on the orbit of each
+    coordinate's initial state under the state's component there, so the
+    orbit is read once per component id.  ``char_tuple`` runs once per
+    distinct combination of orbits, ``eval_pred`` once per distinct
+    characteristic tuple.
+    """
+    orbits = []
+    for comps, i, fs in zip(components, cfg.initials, cfg.finals):
+        seen: dict[tuple[int, tuple[bool, ...]], int] = {}
+        per_id = []
+        for images in comps:
+            tail, orbit = rho_walk(images, i)
+            per_id.append(seen.setdefault((tail, tuple(q in fs for q in orbit)), len(seen)))
+        orbits.append(per_id)
+    by_orbits: dict[tuple[int, ...], bool] = {}
+    by_chi: dict[CharTuple, bool] = {}
+    finals = []
+    keys = zip(*(map(o.__getitem__, ids_j) for o, ids_j in zip(orbits, coords)))
+    for sid, key in enumerate(keys):
+        hit = by_orbits.get(key)
+        if hit is None:
+            state = TransTuple(tuple(TransFn(comps[ids_j[sid]]) for comps, ids_j in zip(components, coords)))
+            chi = char_tuple(state, cfg.initials, cfg.finals)
+            hit = by_chi.get(chi)
+            if hit is None:
+                hit = by_chi[chi] = eval_pred(pred, chi)
+            by_orbits[key] = hit
+        if hit:
+            finals.append(sid)
+    return frozenset(finals)
 
 
 @dataclass(frozen=True)
 class StandardBuild:
-    """A built standard DFA plus the function tuple behind each state."""
+    """A built standard DFA plus the function tuple behind each state.
+
+    The tuples are kept as component ids: ``components[j]`` holds the
+    images of the distinct j-th components, ``coords[j][s]`` the id of
+    state s's j-th component.  ``states`` assembles the tuples on first
+    read.
+    """
 
     dfa: Dfa
-    states: tuple[TransTuple, ...]
+    components: Components = field(repr=False)
+    coords: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def states(self) -> tuple[TransTuple, ...]:
+        per_state = zip(*(map(comps.__getitem__, ids_j) for comps, ids_j in zip(self.components, self.coords)))
+        return tuple(TransTuple(tuple(map(TransFn, images))) for images in per_state)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(fn_token(t) for t in self.states)
@@ -323,8 +444,9 @@ def build_standard_detailed(
     In "accessible" mode states are discovered breadth-first from the
     identity tuple (letters in alphabet order), so the output is already
     canonically numbered.  In "full" mode every function tuple becomes a
-    state, enumerated in ranking order, and the build refuses to start if
-    that space exceeds ``max_states``.
+    state, enumerated in ranking order (component id = ``fn_rank``), and
+    the build refuses to start if that space exceeds ``max_states`` or its
+    transitions exceed ``TRANSITIONS_PER_STATE * max_states``.
     """
     if mode not in ("accessible", "full"):
         raise ValueError(f"unknown build mode {mode!r}")
@@ -337,24 +459,19 @@ def build_standard_detailed(
         total = _std_n_states(cfg)
         if total > max_states:
             raise CapExceeded(f"full state space has {total} tuples, cap is {max_states}")
-        order = list(all_tuples(cfg.sizes))
+        if total * len(letters) > TRANSITIONS_PER_STATE * max_states:
+            raise _work_cap(total, len(letters), max_states)
+        components = tuple(tuple(f.images for f in all_fns(n)) for n in cfg.sizes)
+        coords = tuple(zip(*itertools.product(*(range(len(comps)) for comps in components))))
         rows = tuple(_std_action(cfg, lt).images for lt in letters)
         init = _std_initial(cfg)
     else:
-        order, rows = accessible_tuples(letters, tuple_identity(cfg.sizes), max_states)
+        components, coords, rows = accessible_tuples(letters, tuple_identity(cfg.sizes), max_states)
         init = 0
 
-    memo: dict = {}
-    final_ids = []
-    for sid, f in enumerate(order):
-        chi = char_tuple(f, cfg.initials, cfg.finals)
-        hit = memo.get(chi)
-        if hit is None:
-            hit = memo[chi] = eval_pred(pred, chi)
-        if hit:
-            final_ids.append(sid)
-    dfa = Dfa(alphabet, len(order), init, frozenset(final_ids), rows)
-    return StandardBuild(dfa, tuple(order))
+    finals = _final_states(pred, cfg, components, coords)
+    dfa = Dfa(alphabet, len(coords[0]), init, finals, rows)
+    return StandardBuild(dfa, components, coords)
 
 
 def build_standard(

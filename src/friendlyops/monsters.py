@@ -78,9 +78,12 @@ def reachable_tuples(dfas: Sequence[Dfa]) -> int:
     Counts the tuples of transition functions reachable from the identity
     tuple by composing letter actions on the left; for monsters of either
     alphabet kind this is the full product of the coordinate monoids.
-    The count stops at the default state cap of the standard build: a
-    larger monoid raises CapExceeded.
+    The count stops at the default caps of the standard build: a monoid
+    of more than ``DEFAULT_MAX_STATES`` tuples, or of more tuples times
+    letters than ``TRANSITIONS_PER_STATE * DEFAULT_MAX_STATES``, raises
+    CapExceeded.
     """
     _, letters = letter_tuples(dfas)
     start = tuple_identity(d.n_states for d in dfas)
-    return len(accessible_tuples(letters, start, DEFAULT_MAX_STATES)[0])
+    _, coords, _ = accessible_tuples(letters, start, DEFAULT_MAX_STATES)
+    return len(coords[0])

@@ -130,15 +130,24 @@ def rho_shape(f: TransFn, start: int) -> RhoShape:
     """
     if not 0 <= start < f.n:
         raise ValueError(f"start {start} outside [0, {f.n})")
+    tail, orbit = rho_walk(f.images, start)
+    return RhoShape(tail, len(orbit) - tail, orbit)
+
+
+def rho_walk(images: Sequence[int], start: int) -> tuple[int, tuple[int, ...]]:
+    """``(tail, orbit)`` of start under the map given by its images, unchecked.
+
+    ``orbit`` lists start, f(start), ... up to the first revisit, which is
+    ``orbit[tail]``.
+    """
     pos: dict[int, int] = {}
     seq: list[int] = []
     x = start
     while x not in pos:
         pos[x] = len(seq)
         seq.append(x)
-        x = f.images[x]
-    tail = pos[x]
-    return RhoShape(tail, len(seq) - tail, tuple(seq))
+        x = images[x]
+    return pos[x], tuple(seq)
 
 
 def tn_generators(n: int) -> list[TransFn]:

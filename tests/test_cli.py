@@ -184,6 +184,20 @@ class TestSc:
         err = capsys.readouterr().err
         assert err == "error: full alphabet has 46656 letters, cap is 1000\n"
 
+    def test_transition_cap_refuses_full_alphabet_work(self, capsys):
+        # 256 letters x 256 states: both under the cap of 1000, their product over 10 x 1000
+        assert main(["--max-states", "1000", "sc", "--wheel", "1", "--kind", "full", "--sizes", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "transitions" in captured.err and "Traceback" not in captured.err
+
+    def test_default_cap_refuses_full_alphabet_of_size_six(self, capsys):
+        # 46,656 letters pass the letter cap; the transitions would not fit in 10 x 10^6
+        assert main(["sc", "--wheel", "1", "--kind", "full", "--sizes", "6"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "transitions" in err
+
     def test_bad_sizes(self, capsys):
         assert main(["sc", "--wheel", "1", "--sizes", "5..2"]) == 2
 

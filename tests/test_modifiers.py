@@ -31,11 +31,13 @@ from friendlyops import (
     words_up_to,
     xor_mod,
 )
+from friendlyops import modifiers
+from friendlyops.automata import accessible_part, print_dfa
 from friendlyops.errors import CapExceeded
-from friendlyops.experiments import random_dfa
+from friendlyops.experiments import random_dfa, random_predicate
 from friendlyops.modifiers import _random_tuple
 from friendlyops.monsters import MonsterSpec, monster
-from friendlyops.transforms import compose
+from friendlyops.transforms import compose, letter_tuples, rho_shape, tuple_identity, tuple_rank, tuple_space_size
 
 SIGMA_STAR = Dfa(("a", "b"), 1, 0, {0}, ((0,), (0,)))
 EMPTY = Dfa(("a", "b"), 1, 0, set(), ((0,), (0,)))
@@ -253,6 +255,111 @@ class TestBuildStandard:
             assert accepts(built, w) == word_oracle(pred, (a, b), w)
 
 
+def full_arity_predicate(rng, k):
+    """A random predicate that reads all k arguments."""
+    pred = random_predicate(rng, k)
+    while pred.arity != k:
+        pred = random_predicate(rng, k)
+    return pred
+
+
+def reference_cases():
+    """Seeded inputs of 1-3 coordinates (1-4 states, 1-3 shared letters) and three monsters.
+
+    Sizes are redrawn while the full tuple space exceeds 3,000, so the
+    full build stays small.
+    """
+    rng = random.Random(211)
+    cases = []
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        letters = tuple("abc"[: rng.randint(1, 3)])
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        while tuple_space_size(sizes) > 3000:
+            sizes = [rng.randint(1, 4) for _ in range(k)]
+        dfas = tuple(random_dfa(rng, n, letters) for n in sizes)
+        cases.append((full_arity_predicate(rng, k), dfas))
+    for sizes in ((2,), (3,), (2, 2)):
+        dfas = monster(MonsterSpec(sizes, "generators"))
+        cases.append((full_arity_predicate(rng, len(sizes)), dfas))
+    return cases
+
+
+def bfs_order(d):
+    """States of d breadth-first from the initial state, letters in order."""
+    order, seen = [d.initial], {d.initial}
+    for q in order:
+        for row in d.trans:
+            if row[q] not in seen:
+                seen.add(row[q])
+                order.append(row[q])
+    return order
+
+
+class TestInternedBuild:
+    """The id-table build against the reference path through TransTuple values."""
+
+    @pytest.mark.parametrize("case", range(33))
+    def test_accessible_is_accessible_part_of_full(self, case):
+        pred, dfas = reference_cases()[case]
+        acc = build_standard_detailed(pred, dfas, "accessible")
+        full = build_standard_detailed(pred, dfas, "full")
+        assert print_dfa(acc.dfa) == print_dfa(accessible_part(full.dfa))
+        # full states are numbered by tuple rank; the accessible build meets them in BFS order
+        ranks = bfs_order(full.dfa)
+        assert [tuple_rank(t) for t in acc.states] == ranks
+        assert acc.labels() == tuple(full.labels()[r] for r in ranks)
+        assert [tuple_rank(t) for t in full.states] == list(range(full.dfa.n_states))
+
+    @pytest.mark.parametrize("case", range(33))
+    def test_states_are_folds_of_their_first_words(self, case):
+        pred, dfas = reference_cases()[case]
+        build = build_standard_detailed(pred, dfas, "accessible")
+        _, letters = letter_tuples(dfas)
+        words = {0: []}
+        for q in bfs_order(build.dfa):
+            for li, row in enumerate(build.dfa.trans):
+                words.setdefault(row[q], words[q] + [li])
+        assert len(words) == build.dfa.n_states
+        for sid, word in words.items():
+            f = tuple_identity(d.n_states for d in dfas)
+            for li in word:
+                f = tuple_compose(letters[li], f)
+            assert build.states[sid] == f
+
+    def test_one_char_tuple_per_distinct_orbit(self, monkeypatch):
+        calls = {"char_tuple": 0, "eval_pred": 0}
+
+        def counted(name):
+            inner = getattr(modifiers, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(modifiers, name, counted(name))
+        dfas = monster(MonsterSpec((4,), "generators"))
+        build = build_standard_detailed(wheel_builtin(1), dfas)
+        d = dfas[0]
+        orbits = set()
+        for t in build.states:
+            shape = rho_shape(t.components[0], d.initial)
+            orbits.add((shape.tail, tuple(q in d.finals for q in shape.orbit)))
+        chis = {char_tuple(t, (d.initial,), (d.finals,)) for t in build.states}
+        assert build.dfa.n_states == 256
+        assert calls == {"char_tuple": len(orbits), "eval_pred": len(chis)}
+        assert len(chis) < len(orbits) < 256
+
+    def test_build_without_labels_assembles_no_tuples(self):
+        build = build_standard_detailed(wheel_builtin(1), monster(MonsterSpec((3,), "generators")))
+        assert "states" not in vars(build)
+        assert len(build.states) == 27
+        assert "states" in vars(build)
+
+
 class TestCapsAndErrors:
     def test_full_mode_cap(self):
         with pytest.raises(CapExceeded):
@@ -262,6 +369,19 @@ class TestCapsAndErrors:
         m3 = monster(MonsterSpec((3,), "generators"))
         with pytest.raises(CapExceeded):
             build_standard(wheel_builtin(1), m3, max_states=10)
+
+    @pytest.mark.parametrize("mode", ["accessible", "full"])
+    def test_transition_cap(self, mode):
+        # 27 letters x 27 tuples = 729 transitions: within 10 x 100, over 10 x 50
+        m3 = monster(MonsterSpec((3,), "full"))
+        assert build_standard(wheel_builtin(1), m3, mode, max_states=100).n_states == 27
+        with pytest.raises(CapExceeded, match="27 letters exceed the cap of 500 transitions"):
+            build_standard(wheel_builtin(1), m3, mode, max_states=50)
+
+    def test_transition_cap_counts_letters_before_any_state(self):
+        m3 = monster(MonsterSpec((3,), "full"))
+        with pytest.raises(CapExceeded, match="1 tuples x 27 letters"):
+            build_standard(wheel_builtin(1), m3, max_states=2)
 
     def test_apply_cap(self):
         with pytest.raises(CapExceeded):
