@@ -152,14 +152,15 @@ def random_dfa(
     return Dfa(tuple(alphabet), n, initial, finals, rows)
 
 
-def random_upseq(rng: random.Random, max_prefix: int = 3, max_period: int = 4) -> UPSeq:
-    prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, max_prefix)))
-    period = tuple(rng.randrange(2) for _ in range(rng.randint(1, max_period)))
+def random_upseq(rng: random.Random) -> UPSeq:
+    """A random sequence with a prefix of 0-3 bits and a period of 1-4 bits."""
+    prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 3)))
+    period = tuple(rng.randrange(2) for _ in range(rng.randint(1, 4)))
     return UPSeq(prefix, period)
 
 
-def random_char_tuple(rng: random.Random, k: int, **kwargs) -> CharTuple:
-    return CharTuple(tuple(random_upseq(rng, **kwargs) for _ in range(k)))
+def random_char_tuple(rng: random.Random, k: int) -> CharTuple:
+    return CharTuple(tuple(random_upseq(rng) for _ in range(k)))
 
 
 def random_expr(rng: random.Random, arity: int, depth: int) -> OpExpr:
@@ -177,15 +178,15 @@ def random_expr(rng: random.Random, arity: int, depth: int) -> OpExpr:
     return node(random_expr(rng, arity, depth - 1), random_expr(rng, arity, depth - 1))
 
 
-def random_predicate(rng: random.Random, arity: int, depth: int = 3) -> EPredicate:
-    """Either a random explicit tuple set or a random compiled expression."""
+def random_predicate(rng: random.Random, arity: int) -> EPredicate:
+    """Either a random explicit tuple set or a random compiled expression of depth at most 3."""
     if rng.random() < 0.5:
         size = rng.randint(0, 3)
         seen: dict[CharTuple, None] = {}
         for _ in range(size):
             seen.setdefault(random_char_tuple(rng, arity), None)
         return Explicit(tuple(seen), arity)
-    return Compiled(random_expr(rng, arity, depth))
+    return Compiled(random_expr(rng, arity, 3))
 
 
 def unary_bound_audit(trials: int, n: int, seed: int) -> BoundAuditReport:

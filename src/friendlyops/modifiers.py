@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automata import Dfa
 from .errors import CapExceeded
@@ -28,7 +28,6 @@ from .friendly import EPredicate, eval_pred
 from .transforms import (
     TransFn,
     TransTuple,
-    all_fns,
     all_tuples,
     compose,
     fn_token,
@@ -39,6 +38,8 @@ from .transforms import (
     tuple_identity,
     tuple_rank,
     tuple_space_size,
+    tuple_space_text,
+    tuple_space_within,
     tuple_unrank,
 )
 from .upseq import CharTuple, char_tuple
@@ -286,28 +287,31 @@ def _work_cap(n_tuples: int, n_letters: int, max_states: int) -> CapExceeded:
 
 
 def accessible_tuples(
-    letters: Sequence[TransTuple], start: TransTuple, max_states: int
+    letters: Sequence[TransTuple], starts: Iterable[TransTuple], max_states: int
 ) -> tuple[Components, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The tuples reachable from ``start`` by composing letters on the left.
+    """The tuples reachable from ``starts`` by composing letters on the left.
 
     Returns ``(components, coords, rows)``.  A tuple is kept as the ids of
     its components: coordinate j interns each distinct component once, by
-    its images ``components[j][id]`` (id 0 is ``start``'s), and
-    ``coords[j][s]`` is the id of tuple s's j-th component.  Tuples are
-    numbered breadth-first in discovery order, letters scanned in the
-    given order; ``rows[li][s]`` is the number of ``letters[li] o`` tuple
+    its images ``components[j][id]``, and ``coords[j][s]`` is the id of
+    tuple s's j-th component.  The distinct start tuples (at least one, all
+    of one shape) are numbered first, in the order given, with their
+    components interned in order of first appearance; the search then
+    numbers the tuples it discovers breadth-first, letters scanned in the
+    given order.  ``rows[li][s]`` is the number of ``letters[li] o`` tuple
     s.  A letter acts on coordinate j through a table of successor ids
     that ``tuple_compose`` fills the first time a letter component meets a
     component, so each distinct pair is composed once.
 
-    More than ``max_states`` tuples, or more than
-    ``TRANSITIONS_PER_STATE * max_states`` transitions (tuples times
-    letters), raise CapExceeded.
+    More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
+    max_states`` transitions (tuples times letters), or more than that
+    many images stored across the interned components raise CapExceeded.
     """
-    k = start.k
-    radix = [f.n**f.n for f in start.components]
-    components = [[f.images] for f in start.components]
-    ids = [{f.images: 0} for f in start.components]
+    starts = iter(starts)
+    first = next(starts)
+    k = first.k
+    components: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
     letter_components: list[list[TransTuple]] = [[] for _ in range(k)]
     letter_ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
     # succ[j][a][c]: id of letter component a o component c, -1 until composed
@@ -315,7 +319,7 @@ def accessible_tuples(
     acts = []
     for lt in letters:
         if lt.k != k:
-            raise ValueError(f"shape mismatch: {lt.sizes} vs {start.sizes}")
+            raise ValueError(f"shape mismatch: {lt.sizes} vs {first.sizes}")
         act = []
         for j, f in enumerate(lt.components):
             a = letter_ids[j].get(f.images)
@@ -326,23 +330,55 @@ def accessible_tuples(
             act.append(a)
         acts.append(act)
 
-    def fill(j: int, a: int, c: int) -> int:
-        g = TransTuple((TransFn(components[j][c]),))
-        images = tuple_compose(letter_components[j][a], g).components[0].images
+    work = TRANSITIONS_PER_STATE * max_states
+    stored = 0
+
+    def intern(j: int, images: tuple[int, ...]) -> int:
+        nonlocal stored
         cid = ids[j].get(images)
         if cid is None:
+            stored += len(images)
+            if stored > work:
+                raise CapExceeded(f"more than {work} stored images")
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
             for row in succ[j]:
                 row.append(-1)
-        succ[j][a][c] = cid
         return cid
 
-    work_limit = TRANSITIONS_PER_STATE * max_states // max(len(letters), 1)
+    def fill(j: int, a: int, c: int) -> int:
+        g = TransTuple((TransFn(components[j][c]),))
+        succ[j][a][c] = cid = intern(j, tuple_compose(letter_components[j][a], g).components[0].images)
+        return cid
+
+    work_limit = work // max(len(letters), 1)
     if work_limit < 1:
         raise _work_cap(1, len(letters), max_states)
-    index = {0: 0}  # mixed-radix key of a tuple's component ids -> tuple number
-    coords: list[list[int]] = [[0] for _ in range(k)]
+    # A tuple's key is its component ids in mixed radix.  Every id belongs to
+    # a numbered tuple or to the one whose numbering passes the cap, so no id
+    # exceeds max_states.
+    radix = max_states + 1
+    index: dict[int, int] = {}
+    coords: list[list[int]] = [[] for _ in range(k)]
+
+    def number(key: int, cids: Sequence[int]) -> int:
+        sid = len(index)
+        if sid >= max_states:
+            raise CapExceeded(f"more than {max_states} reachable tuples")
+        if sid >= work_limit:
+            raise _work_cap(sid + 1, len(letters), max_states)
+        index[key] = sid
+        for coord, c in zip(coords, cids):
+            coord.append(c)
+        return sid
+
+    for t in itertools.chain((first,), starts):
+        cids = [intern(j, f.images) for j, f in enumerate(t.components)]
+        key = 0
+        for c in cids:
+            key = key * radix + c
+        if key not in index:
+            number(key, cids)
     grow: list[list[int]] = [[] for _ in letters]
     i = 0
     while i < len(index):
@@ -354,17 +390,10 @@ def accessible_tuples(
                 c = succ[j][a][here[j]]
                 if c < 0:
                     c = fill(j, a, here[j])
-                key = key * radix[j] + c
+                key = key * radix + c
             sid = index.get(key)
             if sid is None:
-                sid = len(index)
-                if sid >= max_states:
-                    raise CapExceeded(f"more than {max_states} reachable tuples")
-                if sid >= work_limit:
-                    raise _work_cap(sid + 1, len(letters), max_states)
-                index[key] = sid
-                for j, a in enumerate(act):
-                    coords[j].append(succ[j][a][here[j]])
+                sid = number(key, [succ[j][a][here[j]] for j, a in enumerate(act)])
             row.append(sid)
     return tuple(map(tuple, components)), tuple(map(tuple, coords)), tuple(map(tuple, grow))
 
@@ -441,12 +470,15 @@ def build_standard_detailed(
 ) -> StandardBuild:
     """Standard-modifier build that also reports the state encodings.
 
-    In "accessible" mode states are discovered breadth-first from the
-    identity tuple (letters in alphabet order), so the output is already
-    canonically numbered.  In "full" mode every function tuple becomes a
-    state, enumerated in ranking order (component id = ``fn_rank``), and
-    the build refuses to start if that space exceeds ``max_states`` or its
-    transitions exceed ``TRANSITIONS_PER_STATE * max_states``.
+    Both modes run ``accessible_tuples``.  In "accessible" mode it starts
+    from the identity tuple alone and discovers states breadth-first
+    (letters in alphabet order), so the output is already canonically
+    numbered.  In "full" mode it starts from every function tuple in
+    ranking order; that space is closed under the letters, so the search
+    only fills the rows, and state s is the tuple of rank s (component id
+    = ``fn_rank``).  Full mode refuses to start if the space exceeds
+    ``max_states`` or its transitions exceed ``TRANSITIONS_PER_STATE *
+    max_states``.
     """
     if mode not in ("accessible", "full"):
         raise ValueError(f"unknown build mode {mode!r}")
@@ -456,19 +488,15 @@ def build_standard_detailed(
     cfg = StateConfig.from_dfas(dfas)
 
     if mode == "full":
-        total = _std_n_states(cfg)
-        if total > max_states:
-            raise CapExceeded(f"full state space has {total} tuples, cap is {max_states}")
+        total = tuple_space_within(cfg.sizes, max_states)
+        if total is None:
+            raise CapExceeded(f"full state space has {tuple_space_text(cfg.sizes)} tuples, cap is {max_states}")
         if total * len(letters) > TRANSITIONS_PER_STATE * max_states:
             raise _work_cap(total, len(letters), max_states)
-        components = tuple(tuple(f.images for f in all_fns(n)) for n in cfg.sizes)
-        coords = tuple(zip(*itertools.product(*(range(len(comps)) for comps in components))))
-        rows = tuple(_std_action(cfg, lt).images for lt in letters)
-        init = _std_initial(cfg)
+        starts, init = all_tuples(cfg.sizes), _std_initial(cfg)
     else:
-        components, coords, rows = accessible_tuples(letters, tuple_identity(cfg.sizes), max_states)
-        init = 0
-
+        starts, init = [tuple_identity(cfg.sizes)], 0
+    components, coords, rows = accessible_tuples(letters, starts, max_states)
     finals = _final_states(pred, cfg, components, coords)
     dfa = Dfa(alphabet, len(coords[0]), init, finals, rows)
     return StandardBuild(dfa, components, coords)

@@ -23,7 +23,8 @@ from .transforms import (
     letter_tuples,
     tn_generators,
     tuple_identity,
-    tuple_space_size,
+    tuple_space_text,
+    tuple_space_within,
 )
 
 
@@ -51,9 +52,8 @@ def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> tupl
     """Build the coordinate DFAs of a monster on their common alphabet."""
     sizes = spec.sizes
     if spec.alphabet_kind == "full":
-        total = tuple_space_size(sizes)
-        if total > max_letters:
-            raise CapExceeded(f"full alphabet has {total} letters, cap is {max_letters}")
+        if tuple_space_within(sizes, max_letters) is None:
+            raise CapExceeded(f"full alphabet has {tuple_space_text(sizes)} letters, cap is {max_letters}")
         letter_tuples = list(all_tuples(sizes))
     else:
         letter_tuples = []
@@ -79,11 +79,11 @@ def reachable_tuples(dfas: Sequence[Dfa]) -> int:
     tuple by composing letter actions on the left; for monsters of either
     alphabet kind this is the full product of the coordinate monoids.
     The count stops at the default caps of the standard build: a monoid
-    of more than ``DEFAULT_MAX_STATES`` tuples, or of more tuples times
-    letters than ``TRANSITIONS_PER_STATE * DEFAULT_MAX_STATES``, raises
-    CapExceeded.
+    of more than ``DEFAULT_MAX_STATES`` tuples, of more tuples times
+    letters than ``TRANSITIONS_PER_STATE * DEFAULT_MAX_STATES``, or whose
+    distinct components hold more images than that, raises CapExceeded.
     """
     _, letters = letter_tuples(dfas)
     start = tuple_identity(d.n_states for d in dfas)
-    _, coords, _ = accessible_tuples(letters, start, DEFAULT_MAX_STATES)
+    _, coords, _ = accessible_tuples(letters, [start], DEFAULT_MAX_STATES)
     return len(coords[0])

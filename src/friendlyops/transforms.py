@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -216,6 +217,33 @@ def all_fns(n: int) -> tuple[TransFn, ...]:
 
 def tuple_space_size(sizes: Iterable[int]) -> int:
     return prod(n**n for n in sizes)
+
+
+def tuple_space_within(sizes: Iterable[int], cap: int) -> int | None:
+    """``tuple_space_size(sizes)`` if it is at most ``cap``, else None.
+
+    The product grows one factor n at a time and stops once it passes
+    ``cap``, so no power n**n past the cap is ever formed.
+    """
+    total = 1
+    for n in sizes:
+        for _ in range(n):
+            total *= n
+            if total > cap:
+                return None
+    return total
+
+
+def tuple_space_text(sizes: Iterable[int]) -> str:
+    """``tuple_space_size(sizes)`` in decimal for messages.
+
+    Past the interpreter's int-to-str digit limit the count is written as
+    a product of powers such as ``3000^3000``, which costs nothing to form.
+    """
+    sizes = tuple(sizes)
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    total = tuple_space_within(sizes, 10**digits - 1)
+    return str(total) if total is not None else " * ".join(f"{n}^{n}" for n in sizes)
 
 
 def tuple_rank(ft: TransTuple) -> int:

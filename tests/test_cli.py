@@ -198,6 +198,13 @@ class TestSc:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "transitions" in err
 
+    def test_image_cap_refuses_large_coordinate(self, capsys):
+        # 300 images per component: the cap of 10 x 1000 stored images is reached after 33 states
+        assert main(["--max-states", "1000", "sc", "--wheel", "1", "--sizes", "300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 10000 stored images\n"
+
     def test_bad_sizes(self, capsys):
         assert main(["sc", "--wheel", "1", "--sizes", "5..2"]) == 2
 
@@ -211,6 +218,33 @@ class TestSc:
             main(["sc", "--wheel", "\u0661", "--sizes", "2"])
         assert exc.value.code == 2
         assert "invalid integer" in capsys.readouterr().err
+
+
+class TestFullSpaceRefusals:
+    """A full space of 3000^3000 tuples is refused without printing or forming its count."""
+
+    @pytest.fixture
+    def bare_dfa_path(self, tmp_path):
+        path = tmp_path / "bare.dfa"
+        path.write_text("dfa v1\nalphabet\nstates 3000\ninitial 0\nfinal\n")
+        return str(path)
+
+    def test_sc_full_alphabet(self, capsys):
+        assert main(["sc", "--wheel", "1", "--kind", "full", "--sizes", "3000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: full alphabet has 3000^3000 letters, cap is 1000000\n"
+
+    def test_monster_full_alphabet(self, tmp_path, capsys):
+        assert main(["monster", "--kind", "full", "--sizes", "3000", "-o", str(tmp_path / "m")]) == 3
+        assert capsys.readouterr().err == "error: full alphabet has 3000^3000 letters, cap is 1000000\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_build_full_state_space(self, bare_dfa_path, capsys):
+        assert main(["build", "--mode", "full", "--expr", "L1", "--dfa", bare_dfa_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: full state space has 3000^3000 tuples, cap is 1000000\n"
 
 
 class TestUsage:

@@ -35,7 +35,7 @@ from friendlyops import modifiers
 from friendlyops.automata import accessible_part, print_dfa
 from friendlyops.errors import CapExceeded
 from friendlyops.experiments import random_dfa, random_predicate
-from friendlyops.modifiers import _random_tuple
+from friendlyops.modifiers import _random_tuple, _std_action
 from friendlyops.monsters import MonsterSpec, monster
 from friendlyops.transforms import compose, letter_tuples, rho_shape, tuple_identity, tuple_rank, tuple_space_size
 
@@ -297,7 +297,19 @@ def bfs_order(d):
 
 
 class TestInternedBuild:
-    """The id-table build against the reference path through TransTuple values."""
+    """The id-table build against the reference path through TransTuple values.
+
+    Both modes run the one interned search, so full mode's rows are also
+    checked against ``_std_action``, which composes and ranks every tuple.
+    """
+
+    @pytest.mark.parametrize("case", range(33))
+    def test_full_rows_match_the_standard_action(self, case):
+        pred, dfas = reference_cases()[case]
+        full = build_standard_detailed(pred, dfas, "full")
+        cfg = StateConfig.from_dfas(dfas)
+        _, letters = letter_tuples(dfas)
+        assert full.dfa.trans == tuple(_std_action(cfg, lt).images for lt in letters)
 
     @pytest.mark.parametrize("case", range(33))
     def test_accessible_is_accessible_part_of_full(self, case):

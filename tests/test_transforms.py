@@ -28,6 +28,8 @@ from friendlyops.transforms import (
     fn_unrank,
     tuple_rank,
     tuple_space_size,
+    tuple_space_text,
+    tuple_space_within,
     tuple_unrank,
 )
 
@@ -226,6 +228,18 @@ class TestRanks:
         for r, ft in enumerate(all_tuples(sizes)):
             assert tuple_rank(ft) == r
             assert tuple_unrank(sizes, r) == ft
+
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (1, 1), (2, 3), (3, 3, 3), (4,)])
+    @pytest.mark.parametrize("cap", [1, 3, 4, 26, 27, 108, 10**6])
+    def test_space_within_cap(self, sizes, cap):
+        total = tuple_space_size(sizes)
+        assert tuple_space_within(sizes, cap) == (total if total <= cap else None)
+
+    def test_space_text_is_decimal_while_printable(self):
+        assert tuple_space_text((6,)) == "46656"
+        # 1370^1370 has 4,298 digits and prints; 1380^1380 has 4,334
+        assert tuple_space_text((1370,)) == str(1370**1370)
+        assert tuple_space_text((2, 1380)) == "2^2 * 1380^1380"
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
