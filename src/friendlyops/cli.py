@@ -9,11 +9,12 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .automata import Dfa, accepts, equivalent, minimize, parse_dfa, print_dfa, to_dot, words_up_to
+from .automata import Dfa, _is_nat, accepts, equivalent, minimize, parse_dfa, print_dfa, to_dot, words_up_to
 from .errors import CapExceeded, ParseError
 from .experiments import ScRow, sc_on_witness, sc_table
 from .friendly import Compiled, EPredicate, explicit_from_file, parse_expr, wheel_builtin, word_oracle
@@ -48,9 +49,12 @@ def _predicate(args: argparse.Namespace) -> EPredicate:
 
 
 def _int_arg(text: str) -> int:
-    """argparse type for integer flags: ASCII digits with an optional leading '-'."""
-    digits = text.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    """argparse type for integer flags: a natural number in ASCII digits.
+
+    No integer flag has a valid negative value, so a sign is refused here,
+    by argparse, with exit 2.
+    """
+    if not _is_nat(text.strip()):
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
     return int(text)
 
@@ -63,14 +67,18 @@ def _add_predicate_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_size(text: str, entry: str) -> int:
     text = text.strip()
-    if not (text.isascii() and text.isdigit()):
+    if not _is_nat(text):
         raise ParseError(f"bad size entry {entry!r}")
     return int(text)
 
 
-def _parse_sizes(text: str) -> list[tuple[int, ...]]:
-    """Size list: comma-separated entries, each 'n', 'n1xn2x...' or 'a..b'."""
-    out: list[tuple[int, ...]] = []
+def _parse_sizes(text: str) -> Iterator[tuple[int, ...]]:
+    """Size list: comma-separated entries, each 'n', 'n1xn2x...' or 'a..b'.
+
+    Every entry is checked before this returns; a range then yields its
+    sizes one at a time, so a long range costs nothing until it is reached.
+    """
+    parts: list[Iterable[tuple[int, ...]]] = []
     for entry in text.split(","):
         entry = entry.strip()
         if ".." in entry:
@@ -78,13 +86,13 @@ def _parse_sizes(text: str) -> list[tuple[int, ...]]:
             lo, hi = _parse_size(lo_s, entry), _parse_size(hi_s, entry)
             if lo < 1 or hi < lo:
                 raise ParseError(f"bad size range {entry!r}")
-            out.extend((n,) for n in range(lo, hi + 1))
+            parts.append((n,) for n in range(lo, hi + 1))
         else:
             sizes = tuple(_parse_size(t, entry) for t in entry.split("x"))
             if any(n < 1 for n in sizes):
                 raise ParseError(f"bad size entry {entry!r}")
-            out.append(sizes)
-    return out
+            parts.append([sizes])
+    return itertools.chain.from_iterable(parts)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -115,7 +123,7 @@ def cmd_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_monster(args: argparse.Namespace) -> int:
-    sizes_list = _parse_sizes(args.sizes)
+    sizes_list = list(itertools.islice(_parse_sizes(args.sizes), 2))
     if len(sizes_list) != 1:
         raise ParseError("monster expects a single size tuple, e.g. --sizes 2x3")
     spec = MonsterSpec(sizes_list[0], args.kind)
@@ -224,10 +232,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

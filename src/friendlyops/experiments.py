@@ -182,10 +182,7 @@ def random_predicate(rng: random.Random, arity: int) -> EPredicate:
     """Either a random explicit tuple set or a random compiled expression of depth at most 3."""
     if rng.random() < 0.5:
         size = rng.randint(0, 3)
-        seen: dict[CharTuple, None] = {}
-        for _ in range(size):
-            seen.setdefault(random_char_tuple(rng, arity), None)
-        return Explicit(tuple(seen), arity)
+        return Explicit(tuple(dict.fromkeys(random_char_tuple(rng, arity) for _ in range(size))), arity)
     return Compiled(random_expr(rng, arity, 3))
 
 

@@ -351,7 +351,4 @@ def explicit_from_file(text: str) -> Explicit:
     keeping first-occurrence order.
     """
     k, tuples = parse_eset(text)
-    seen: dict[CharTuple, None] = {}
-    for chi in tuples:
-        seen.setdefault(chi, None)
-    return Explicit(tuple(seen), k)
+    return Explicit(tuple(dict.fromkeys(tuples)), k)

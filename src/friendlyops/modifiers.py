@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .automata import Dfa
@@ -89,14 +89,19 @@ class Modifier:
 
 
 def apply_modifier(m: Modifier, dfas: Sequence[Dfa], *, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
-    """Materialize the modifier's output DFA on concrete inputs."""
+    """Materialize the modifier's output DFA on concrete inputs.
+
+    An output of more than ``max_states`` states raises CapExceeded.  The
+    refusal names the cap, not the output's count, which for the standard
+    shape is a product of powers n**n too long to print.
+    """
     if len(dfas) != m.arity:
         raise ValueError(f"arity mismatch: {len(dfas)} automata, modifier needs {m.arity}")
     alphabet, letters = letter_tuples(dfas)
     cfg = StateConfig.from_dfas(dfas)
     n = m.n_states(cfg)
     if n > max_states:
-        raise CapExceeded(f"output would have {n} states, cap is {max_states}")
+        raise CapExceeded(f"output would have more than {max_states} states")
     rows = tuple(m.action(cfg, lt).images for lt in letters)
     finals = frozenset(s for s in range(n) if m.is_final(cfg, s))
     return Dfa(alphabet, n, m.initial(cfg), finals, rows)
@@ -170,29 +175,29 @@ def compose_mod(m1: Modifier, p: int, m2: Modifier) -> Modifier:
 
     The result takes m1.arity + m2.arity - 1 inputs: the block of
     m2.arity inputs starting at position p is consumed by m2; its output
-    configuration and per-letter actions stand in for input p of m1.
+    configuration and per-letter actions stand in for input p of m1.  That
+    split of a configuration is computed once per configuration and
+    memoized with ``functools.lru_cache``.
     """
     if not 1 <= p <= m1.arity:
         raise ValueError(f"position {p} out of range for arity {m1.arity}")
     k = m2.arity
-    cache: dict[StateConfig, tuple[StateConfig, StateConfig]] = {}
 
+    @lru_cache(maxsize=None)
     def split(cfg: StateConfig) -> tuple[StateConfig, StateConfig]:
-        if cfg not in cache:
-            inner = StateConfig(
-                cfg.sizes[p - 1 : p - 1 + k],
-                cfg.initials[p - 1 : p - 1 + k],
-                cfg.finals[p - 1 : p - 1 + k],
-            )
-            nq = m2.n_states(inner)
-            fset = frozenset(s for s in range(nq) if m2.is_final(inner, s))
-            outer = StateConfig(
-                cfg.sizes[: p - 1] + (nq,) + cfg.sizes[p - 1 + k :],
-                cfg.initials[: p - 1] + (m2.initial(inner),) + cfg.initials[p - 1 + k :],
-                cfg.finals[: p - 1] + (fset,) + cfg.finals[p - 1 + k :],
-            )
-            cache[cfg] = (inner, outer)
-        return cache[cfg]
+        inner = StateConfig(
+            cfg.sizes[p - 1 : p - 1 + k],
+            cfg.initials[p - 1 : p - 1 + k],
+            cfg.finals[p - 1 : p - 1 + k],
+        )
+        nq = m2.n_states(inner)
+        fset = frozenset(s for s in range(nq) if m2.is_final(inner, s))
+        outer = StateConfig(
+            cfg.sizes[: p - 1] + (nq,) + cfg.sizes[p - 1 + k :],
+            cfg.initials[: p - 1] + (m2.initial(inner),) + cfg.initials[p - 1 + k :],
+            cfg.finals[: p - 1] + (fset,) + cfg.finals[p - 1 + k :],
+        )
+        return inner, outer
 
     def n_states(cfg: StateConfig) -> int:
         return m1.n_states(split(cfg)[1])
@@ -242,15 +247,14 @@ def standardize(m: Modifier) -> Modifier:
     letter, would move its initial state into its final set.
 
     Composition-compatibility of the original's action is a precondition;
-    it is checked per configuration on 16 random pairs drawn from
-    ``random.Random(0)``, and a violation raises ValueError with the
+    it is checked on 16 random pairs drawn from ``random.Random(0)``, once
+    per configuration (a check that passes is memoized with
+    ``functools.lru_cache``), and a violation raises ValueError with the
     counterexample.
     """
-    checked: set[StateConfig] = set()
 
+    @lru_cache(maxsize=None)
     def ensure(cfg: StateConfig) -> None:
-        if cfg in checked:
-            return
         rng = random.Random(0)
         for _ in range(16):
             phi = _random_tuple(rng, cfg.sizes)
@@ -262,7 +266,6 @@ def standardize(m: Modifier) -> Modifier:
                     "modifier is not friendly: action splits differently on "
                     f"{fn_token(phi)} o {fn_token(psi)}"
                 )
-        checked.add(cfg)
 
     def initial(cfg: StateConfig) -> int:
         ensure(cfg)
@@ -279,6 +282,17 @@ def standardize(m: Modifier) -> Modifier:
         return _std_action(cfg, dt)
 
     return Modifier(m.arity, _std_n_states, initial, is_final, action, _std_label)
+
+
+def check_stored_images(stored: int, max_states: int) -> None:
+    """Refuse more than ``TRANSITIONS_PER_STATE * max_states`` stored images.
+
+    A build counts the images of the components it interns; a monster
+    counts the images its letters would hold, before it makes them.
+    """
+    work = TRANSITIONS_PER_STATE * max_states
+    if stored > work:
+        raise CapExceeded(f"more than {work} stored images")
 
 
 def _work_cap(n_tuples: int, n_letters: int, max_states: int) -> CapExceeded:
@@ -338,8 +352,7 @@ def accessible_tuples(
         cid = ids[j].get(images)
         if cid is None:
             stored += len(images)
-            if stored > work:
-                raise CapExceeded(f"more than {work} stored images")
+            check_stored_images(stored, max_states)
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
             for row in succ[j]:

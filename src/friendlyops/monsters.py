@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .automata import Dfa
 from .errors import CapExceeded
-from .modifiers import DEFAULT_MAX_STATES, accessible_tuples
+from .modifiers import DEFAULT_MAX_STATES, accessible_tuples, check_stored_images
 from .transforms import (
     TransTuple,
     all_tuples,
@@ -49,21 +49,31 @@ class MonsterSpec:
 
 
 def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> tuple[Dfa, ...]:
-    """Build the coordinate DFAs of a monster on their common alphabet."""
+    """Build the coordinate DFAs of a monster on their common alphabet.
+
+    ``max_letters`` caps the letters, and bounds the images the letters
+    hold (letters times the sum of the sizes) as a build's cap bounds its
+    stored images: more than ``TRANSITIONS_PER_STATE * max_letters`` raise
+    CapExceeded before any letter is made.  The generator letters are
+    counted after de-duplication: ``tn_generators(n)`` has min(n, 3) maps,
+    and all size-1 coordinates share the one identity letter.
+    """
     sizes = spec.sizes
     if spec.alphabet_kind == "full":
-        if tuple_space_within(sizes, max_letters) is None:
+        n_letters = tuple_space_within(sizes, max_letters)
+        if n_letters is None:
             raise CapExceeded(f"full alphabet has {tuple_space_text(sizes)} letters, cap is {max_letters}")
+    else:
+        n_letters = sum(min(n, 3) for n in sizes if n > 1) + (1 in sizes)
+    check_stored_images(n_letters * sum(sizes), max_letters)
+    if spec.alphabet_kind == "full":
         letter_tuples = list(all_tuples(sizes))
     else:
-        letter_tuples = []
-        seen: set[TransTuple] = set()
-        for j, n in enumerate(sizes):
-            for g in tn_generators(n):
-                t = TransTuple(tuple(g if jj == j else identity(nn) for jj, nn in enumerate(sizes)))
-                if t not in seen:
-                    seen.add(t)
-                    letter_tuples.append(t)
+        letter_tuples = list(dict.fromkeys(
+            TransTuple(tuple(g if jj == j else identity(nn) for jj, nn in enumerate(sizes)))
+            for j, n in enumerate(sizes)
+            for g in tn_generators(n)
+        ))
     alphabet = tuple(fn_token(t) for t in letter_tuples)
     dfas = []
     for j, n in enumerate(sizes):

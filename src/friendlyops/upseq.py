@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import ceil, gcd
 from typing import Iterable, Sequence
 
-from .automata import Dfa
+from .automata import Dfa, _is_nat
 from .errors import ParseError
 from .transforms import TransFn, TransTuple, rho_shape
 
@@ -182,7 +182,7 @@ def parse_eset(text: str) -> tuple[int, list[CharTuple]]:
     toks = head.split()
     if len(toks) != 3 or toks[0] != "eset" or toks[1] != "v1" or not toks[2].startswith("k="):
         raise ParseError(f"line {ln}: malformed header, expected 'eset v1 k=<k>'")
-    if not re.fullmatch(r"-?[0-9]+", toks[2][2:]):
+    if not _is_nat(toks[2][2:].removeprefix("-")):
         raise ParseError(f"line {ln}: malformed arity in header")
     k = int(toks[2][2:])
     if k < 1:

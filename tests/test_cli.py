@@ -3,7 +3,7 @@
 import pytest
 from conftest import FIG1, FIG1_DOC, FIG2, FIG3, canon
 
-from friendlyops import equivalent, parse_dfa, print_dfa
+from friendlyops import cli, equivalent, parse_dfa, print_dfa
 from friendlyops.cli import main
 
 
@@ -134,6 +134,19 @@ class TestMonsterCmd:
         d2 = parse_dfa((tmp_path / "m.2.dfa").read_text())
         assert d1.alphabet == d2.alphabet and len(d1.alphabet) == 4
 
+    @pytest.mark.parametrize("sizes", ["2,3", "2..3"])
+    def test_more_than_one_size_tuple_is_usage_error(self, tmp_path, capsys, sizes):
+        assert main(["monster", "--sizes", sizes, "-o", str(tmp_path / "m")]) == 2
+        assert capsys.readouterr().err == "error: monster expects a single size tuple, e.g. --sizes 2x3\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_letter_images_are_capped_before_any_letter_is_made(self, tmp_path, capsys):
+        # 3 letters x 3,400 images each pass 10 x 1000
+        code = main(["--max-states", "1000", "monster", "--sizes", "3400", "-o", str(tmp_path / "m")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: more than 10000 stored images\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestOracle:
     def test_agreement(self, fig1_path, capsys):
@@ -142,6 +155,17 @@ class TestOracle:
 
     def test_smaller_length(self, fig1_path):
         assert main(["oracle", "--wheel", "1", "--dfa", fig1_path, "--maxlen", "4"]) == 0
+
+    def test_length_zero(self, fig1_path, capsys):
+        assert main(["oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen", "0"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 0\n"
+
+    def test_disagreement_exits_one(self, fig1_path, capsys, monkeypatch):
+        oracle = cli.word_oracle
+        monkeypatch.setattr(cli, "word_oracle", lambda pred, dfas, word: not oracle(pred, dfas, word))
+        assert main(["oracle", "--expr", "Root(L1)", "--dfa", fig1_path, "--maxlen", "3"]) == 1
+        # the empty word is checked first
+        assert capsys.readouterr().out == "disagreement on word: \n"
 
     @pytest.mark.parametrize("expr", [
         "!" * 5000 + "L1",
@@ -219,6 +243,16 @@ class TestSc:
         assert exc.value.code == 2
         assert "invalid integer" in capsys.readouterr().err
 
+    def test_size_one_coordinates_share_one_letter_under_the_smallest_cap(self, capsys):
+        # one identity letter of 4 images: within 10 x 1
+        assert main(["--max-states", "1", "sc", "--wheel", "4", "--sizes", "1x1x1x1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "wheel 4,1x1x1x1,1,1,true"
+
+    def test_every_entry_is_checked_before_the_first_build(self, capsys):
+        # size 4 would pass the cap of 30 states, but the bad entry after it is found first
+        assert main(["--max-states", "30", "sc", "--wheel", "1", "--sizes", "1..5,x"]) == 2
+        assert capsys.readouterr().err == "error: bad size entry 'x'\n"
+
 
 class TestFullSpaceRefusals:
     """A full space of 3000^3000 tuples is refused without printing or forming its count."""
@@ -252,3 +286,20 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_zero_max_states_is_usage_error(self, capsys):
+        assert main(["--max-states", "0", "sc", "--wheel", "1", "--sizes", "2"]) == 2
+        assert capsys.readouterr().err == "error: --max-states must be positive\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--expr", "L1", "--dfa", "fig1.dfa", "--maxlen", "-1"],
+        ["sc", "--wheel", "-1", "--sizes", "2"],
+        ["--max-states", "-5", "sc", "--wheel", "1", "--sizes", "2"],
+    ], ids=["maxlen", "wheel", "max-states"])
+    def test_negative_integer_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid integer '-" in captured.err

@@ -399,6 +399,15 @@ class TestCapsAndErrors:
         with pytest.raises(CapExceeded):
             apply_modifier(sqrt_mod(), (FIG1,), max_states=3)
 
+    @pytest.mark.parametrize("n", [3000, 30000])
+    @pytest.mark.parametrize("factory", [sqrt_mod, lambda: standardize(compl_mod())], ids=["sqrt", "std-compl"])
+    def test_apply_cap_prints_no_count(self, factory, n):
+        # n**n states: far past the cap and past the interpreter's int-to-str digit limit
+        cycle = Dfa(("a",), n, 0, {n - 1}, (tuple((q + 1) % n for q in range(n)),))
+        with pytest.raises(CapExceeded) as exc:
+            apply_modifier(factory(), (cycle,), max_states=1000)
+        assert str(exc.value) == "output would have more than 1000 states"
+
     def test_arity_and_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             build_standard(wheel_builtin(2), (FIG1,))

@@ -56,6 +56,24 @@ class TestConstruction:
         with pytest.raises(CapExceeded):
             monster(MonsterSpec((4, 4), "full"), max_letters=1000)
 
+    def test_letter_image_cap(self):
+        # 3 generator letters of n images each against 10 x 1000 stored images
+        (d,) = monster(MonsterSpec((3333,)), max_letters=1000)
+        assert len(d.alphabet) == 3
+        with pytest.raises(CapExceeded, match="^more than 10000 stored images$"):
+            monster(MonsterSpec((3334,)), max_letters=1000)
+        # 4 full letters of 2 + 8 or 2 + 9 images against 10 x 4
+        assert len(monster(MonsterSpec((2,) + (1,) * 8, "full"), max_letters=4)[0].alphabet) == 4
+        with pytest.raises(CapExceeded, match="^more than 40 stored images$"):
+            monster(MonsterSpec((2,) + (1,) * 9, "full"), max_letters=4)
+
+    def test_letter_images_count_the_distinct_letters(self):
+        # size-1 coordinates share one identity letter: 2 + 1 letters of 2 + 1 images
+        d = monster(MonsterSpec((2, 1)), max_letters=1)
+        assert len(d[0].alphabet) == 3
+        with pytest.raises(CapExceeded, match="^more than 10 stored images$"):
+            monster(MonsterSpec((2, 1, 1)), max_letters=1)
+
 
 class TestReachability:
     def test_examples(self):
