@@ -92,21 +92,24 @@ def accessible_part(d: Dfa) -> Dfa:
 
     On a fully accessible automaton this is a pure canonical renumbering:
     states appear in breadth-first discovery order, letters scanned in
-    alphabet order.
+    alphabet order.  An automaton already in that order is returned as is.
     """
     order = [d.initial]
-    index = {d.initial: 0}
+    index = [-1] * d.n_states
+    index[d.initial] = 0
     i = 0
     while i < len(order):
         q = order[i]
         i += 1
         for row in d.trans:
             t = row[q]
-            if t not in index:
+            if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
+    if len(order) == d.n_states and all(map(int.__eq__, order, range(d.n_states))):
+        return d
     rows = tuple(tuple(index[row[q]] for q in order) for row in d.trans)
-    finals = frozenset(index[q] for q in d.finals if q in index)
+    finals = frozenset(index[q] for q in d.finals if index[q] >= 0)
     return Dfa(d.alphabet, len(order), 0, finals, rows)
 
 
@@ -143,12 +146,24 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
     smaller part gets the new block id, so only its states are relabelled,
     and it always joins the worklist (if the old id was queued, the larger
     part stays queued under it).
+
+    Predecessors are stored flat, one counting sort per letter: the states
+    with a transition into t under letter li are ``src[off[t]:off[t + 1]]``
+    for ``src, off = pre[li]``, where ``src`` lists the states by target
+    (ascending within a target) and ``off`` holds n + 1 offsets.  Both are
+    lists of references to one shared set of int objects, so the relation
+    costs 8 bytes per transition plus 8 per state and letter.
     """
     n = d.n_states
-    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in d.alphabet]
-    for li, row in enumerate(d.trans):
-        for q, t in enumerate(row):
-            pre[li][t].append(q)
+    ids = list(range(n + 1))  # every list below points into these int objects
+    states = ids[:n]
+    pre: list[tuple[list[int], list[int]]] = []
+    for row in d.trans:
+        counts = [0] * n
+        for t in row:
+            counts[t] += 1
+        off = list(map(ids.__getitem__, itertools.accumulate(counts, initial=0)))
+        pre.append((sorted(states, key=row.__getitem__), off))
 
     finals = d.finals
     elems = [q for q in range(n) if q in finals] + [q for q in range(n) if q not in finals]
@@ -169,10 +184,10 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
     while worklist:
         ai = worklist.pop()
         splitter = elems[first[ai] : past[ai]]  # snapshot: block ai may be split below
-        for pre_l in pre:
+        for src, off in pre:
             touched = []
             for t in splitter:
-                for q in pre_l[t]:
+                for q in src[off[t] : off[t + 1]]:
                     b = block_of[q]
                     m = marked[b]
                     i = loc[q]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Sequence, Union
 
@@ -262,7 +263,7 @@ class Compiled:
 
     expr: OpExpr
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return expr_arity(self.expr)
 

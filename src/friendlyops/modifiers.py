@@ -77,7 +77,8 @@ class Modifier:
     of one letter on the k inputs, it returns the induced function on the
     output states [0, n_states).  For composition-compatible ("friendly")
     modifiers, action turns composition of letter tuples into composition
-    of output functions.
+    of output functions.  ``n_states`` and ``initial`` read only the sizes
+    and initial states of a configuration, never its final sets.
     """
 
     arity: int
@@ -177,21 +178,24 @@ def compose_mod(m1: Modifier, p: int, m2: Modifier) -> Modifier:
     m2.arity inputs starting at position p is consumed by m2; its output
     configuration and per-letter actions stand in for input p of m1.  That
     split of a configuration is computed once per configuration and
-    memoized with ``functools.lru_cache``.
+    memoized with ``functools.lru_cache``.  The output's state count and
+    initial state need no finality test of m2: the split they read leaves
+    m2's final set empty, so a cap can refuse the output before m2 tests
+    any of its states.
     """
     if not 1 <= p <= m1.arity:
         raise ValueError(f"position {p} out of range for arity {m1.arity}")
     k = m2.arity
 
     @lru_cache(maxsize=None)
-    def split(cfg: StateConfig) -> tuple[StateConfig, StateConfig]:
+    def split(cfg: StateConfig, finality: bool) -> tuple[StateConfig, StateConfig]:
         inner = StateConfig(
             cfg.sizes[p - 1 : p - 1 + k],
             cfg.initials[p - 1 : p - 1 + k],
             cfg.finals[p - 1 : p - 1 + k],
         )
         nq = m2.n_states(inner)
-        fset = frozenset(s for s in range(nq) if m2.is_final(inner, s))
+        fset = frozenset(s for s in range(nq) if m2.is_final(inner, s)) if finality else frozenset()
         outer = StateConfig(
             cfg.sizes[: p - 1] + (nq,) + cfg.sizes[p - 1 + k :],
             cfg.initials[: p - 1] + (m2.initial(inner),) + cfg.initials[p - 1 + k :],
@@ -200,16 +204,16 @@ def compose_mod(m1: Modifier, p: int, m2: Modifier) -> Modifier:
         return inner, outer
 
     def n_states(cfg: StateConfig) -> int:
-        return m1.n_states(split(cfg)[1])
+        return m1.n_states(split(cfg, False)[1])
 
     def initial(cfg: StateConfig) -> int:
-        return m1.initial(split(cfg)[1])
+        return m1.initial(split(cfg, False)[1])
 
     def is_final(cfg: StateConfig, s: int) -> bool:
-        return m1.is_final(split(cfg)[1], s)
+        return m1.is_final(split(cfg, True)[1], s)
 
     def action(cfg: StateConfig, dt: TransTuple) -> TransFn:
-        inner, outer = split(cfg)
+        inner, outer = split(cfg, True)
         mid = m2.action(inner, TransTuple(dt.components[p - 1 : p - 1 + k]))
         return m1.action(outer, TransTuple(dt.components[: p - 1] + (mid,) + dt.components[p - 1 + k :]))
 

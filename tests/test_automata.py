@@ -1,21 +1,29 @@
 """Tests for the DFA core: format, execution, minimization, preimages."""
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import FIG1, FIG1_DOC, FIG2, assert_minimize_agree, brute_equivalent, brute_min_states, canon
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friendlyops import (
     Dfa,
+    MonsterSpec,
     accepts,
     accessible_part,
+    build_standard,
     equivalent,
     minimize,
+    monster,
     parse_dfa,
     preimage_dfa,
     print_dfa,
     to_dot,
+    wheel_builtin,
 )
+from friendlyops.automata import _hopcroft_partition, nerode_partition
 from friendlyops.errors import ParseError
 from friendlyops.experiments import random_dfa
 from friendlyops.upseq import UPSeq, upseq_to_unary_dfa
@@ -112,11 +120,45 @@ class TestAccessiblePart:
         assert accessible_part(FIG2) == FIG2
         shuffled = Dfa(("a", "b"), 2, 1, {0}, ((0, 1), (0, 0)))
         renumbered = accessible_part(shuffled)
-        assert renumbered.n_states == 2 and renumbered.initial == 0
+        assert renumbered == Dfa(("a", "b"), 2, 0, {1}, ((0, 1), (1, 1)))
         assert equivalent(shuffled, renumbered)
+
+    def test_canonical_input_is_returned_itself(self):
+        assert accessible_part(FIG2) is FIG2
+        build = build_standard(wheel_builtin(1), monster(MonsterSpec((4,), "generators")))
+        assert accessible_part(build) is build
+
+    def test_noncanonical_input_is_rebuilt(self):
+        # every state reachable and initial 0, but discovered in the order 0, 2, 1
+        d = Dfa(("a",), 3, 0, {1}, ((2, 0, 1),))
+        assert accessible_part(d) == Dfa(("a",), 3, 0, {2}, ((1, 2, 0),))
+        # state 2 is unreachable, so 0, 1 is the identity prefix but not the whole
+        d = Dfa(("a",), 3, 0, {2}, ((1, 0, 0),))
+        assert accessible_part(d) == Dfa(("a",), 2, 0, set(), ((1, 0),))
 
     def test_figure_square_root_all_reachable(self):
         assert accessible_part(FIG2).n_states == 4
+
+
+@st.composite
+def small_dfas(draw) -> Dfa:
+    """Complete DFAs with constant letters, one-state cases, unreachable states and degenerate final sets."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    rows = draw(
+        st.lists(
+            st.one_of(state.map(lambda t: (t,) * n), st.lists(state, min_size=n, max_size=n).map(tuple)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    finals = draw(st.one_of(st.just(frozenset()), st.just(frozenset(range(n))), st.frozensets(state)))
+    return Dfa(tuple("abc"[: len(rows)]), n, draw(state), finals, tuple(rows))
+
+
+def _first_occurrence(part: list[int]) -> list[int]:
+    relabel: dict[int, int] = {}
+    return [relabel.setdefault(c, len(relabel)) for c in part]
 
 
 def _chain(n: int) -> Dfa:
@@ -189,6 +231,28 @@ class TestMinimize:
             for algo in ("hopcroft", "moore"):
                 m = minimize(d, algo)
                 assert accessible_part(m) == m
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(small_dfas())
+    def test_hopcroft_matches_moore_on_every_state(self, d):
+        # the partitions cover unreachable states too; minimize drops them
+        assert _first_occurrence(_hopcroft_partition(d)) == _first_occurrence(nerode_partition(d))
+        assert print_dfa(minimize(d, "hopcroft")) == print_dfa(minimize(d, "moore"))
+
+    def test_minimize_peak_memory_stays_near_the_build(self):
+        # 256 letters x 256 states: a Python list per (letter, state) tripled the build's peak
+        dfas = monster(MonsterSpec((4,), "full"))
+        tracemalloc.start()
+        try:
+            d = build_standard(wheel_builtin(1), dfas)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            m = minimize(d)
+            minimize_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.n_states == 253
+        assert minimize_peak <= 1.5 * build_peak, (minimize_peak, build_peak)
 
     def test_no_finals_collapses(self):
         d = Dfa(("a",), 4, 0, set(), ((1, 2, 3, 0),))

@@ -31,6 +31,7 @@ from friendlyops import (
     word_oracle,
     words_up_to,
 )
+from friendlyops import friendly
 from friendlyops.errors import CapExceeded, ParseError
 from friendlyops.experiments import random_char_tuple, random_expr
 from friendlyops.friendly import MAX_EXPR_DEPTH
@@ -179,6 +180,21 @@ class TestWordOracle:
         pred = Compiled(parse_expr("root[2](L1)"))
         for w in words_up_to(FIG1.alphabet, 6):
             assert word_oracle(pred, (FIG1,), w) == accepts(FIG2, w)
+
+    def test_arity_is_computed_once_per_predicate(self, monkeypatch):
+        walked = []
+
+        def counting_arity(e):
+            walked.append(e)
+            return expr_arity(e)
+
+        monkeypatch.setattr(friendly, "expr_arity", counting_arity)
+        pred = Compiled(parse_expr("root[2](L1) & !L1"))
+        word_oracle(pred, (FIG1,), [])
+        assert len(walked) == 5  # one visit per node of the expression
+        for w in words_up_to(FIG1.alphabet, 4):
+            word_oracle(pred, (FIG1,), w)
+        assert len(walked) == 5
 
     def test_unknown_letter_and_mismatches(self):
         pred = Compiled(parse_expr("L1"))

@@ -187,6 +187,21 @@ class TestComposeMod:
         with pytest.raises(ValueError, match="position"):
             compose_mod(sqrt_mod(), 2, compl_mod())
 
+    def test_cap_refuses_before_any_inner_finality_test(self):
+        # 6^6 inner states: testing each for finality would take most of a second
+        base = sqrt_mod()
+        tested = []
+
+        def is_final(cfg, s):
+            tested.append(s)
+            return base.is_final(cfg, s)
+
+        counted = Modifier(1, base.n_states, base.initial, is_final, base.action, base.label)
+        cycle = Dfa(("a",), 6, 0, {0}, ((1, 2, 3, 4, 5, 0),))
+        with pytest.raises(CapExceeded, match="more than 1000 states"):
+            apply_modifier(compose_mod(compl_mod(), 1, counted), (cycle,), max_states=1000)
+        assert tested == []
+
 
 class TestBuildStandard:
     def test_full_mode_reproduces_figure(self):
