@@ -240,7 +240,7 @@ class TestMinimize:
         assert print_dfa(minimize(d, "hopcroft")) == print_dfa(minimize(d, "moore"))
 
     def test_minimize_peak_memory_stays_near_the_build(self):
-        # 256 letters x 256 states: a Python list per (letter, state) tripled the build's peak
+        # 256 letters x 256 states: how predecessors are stored decides minimize's peak
         dfas = monster(MonsterSpec((4,), "full"))
         tracemalloc.start()
         try:
