@@ -429,3 +429,21 @@ def words_up_to(alphabet: Iterable[str], max_len: int) -> Iterable[tuple[str, ..
     letters = tuple(alphabet)
     for length in range(max_len + 1):
         yield from itertools.product(letters, repeat=length)
+
+
+def words_within(n_letters: int, max_len: int, cap: int) -> int | None:
+    """The number of words up to ``max_len`` over ``n_letters`` letters if at most ``cap``, else None.
+
+    The count grows one power of ``n_letters`` at a time and stops once it
+    passes ``cap``, so no power past the cap is ever formed.
+    """
+    if n_letters < 2:
+        total = max_len + 1 if n_letters else 1
+        return total if total <= cap else None
+    total, power = 0, 1
+    for _ in range(max_len + 1):
+        total += power
+        if total > cap:
+            return None
+        power *= n_letters
+    return total

@@ -14,11 +14,22 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .automata import Dfa, _is_nat, accepts, equivalent, minimize, parse_dfa, print_dfa, to_dot, words_up_to
+from .automata import (
+    Dfa,
+    _is_nat,
+    accepts,
+    equivalent,
+    minimize,
+    parse_dfa,
+    print_dfa,
+    to_dot,
+    words_up_to,
+    words_within,
+)
 from .errors import CapExceeded, ParseError
 from .experiments import ScRow, sc_on_witness, sc_table
 from .friendly import Compiled, EPredicate, explicit_from_file, parse_expr, wheel_builtin, word_oracle
-from .modifiers import DEFAULT_MAX_STATES, build_standard_detailed
+from .modifiers import DEFAULT_MAX_STATES, TRANSITIONS_PER_STATE, build_standard_detailed
 from .monsters import MonsterSpec, monster
 
 
@@ -146,6 +157,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     pred = _predicate(args)
     dfas = [_load_dfa(p) for p in args.dfa]
     build = build_standard_detailed(pred, dfas, "accessible", max_states=args.max_states).dfa
+    work = TRANSITIONS_PER_STATE * args.max_states
+    if words_within(len(build.alphabet), args.maxlen, work) is None:
+        raise CapExceeded(f"more than {work} words up to length {args.maxlen}")
     for word in words_up_to(build.alphabet, args.maxlen):
         if accepts(build, word) != word_oracle(pred, dfas, word):
             print("disagreement on word: " + " ".join(word))

@@ -24,7 +24,9 @@ from typing import Sequence, Union
 
 from .automata import Dfa
 from .errors import CapExceeded, ParseError
-from .transforms import letter_tuples, tuple_compose, tuple_identity
+from .transforms import TransFn, TransTuple, shared_alphabet
+# Not called here; perfbench's traced runs wrap friendly.tuple_compose by name.
+from .transforms import tuple_compose  # noqa: F401
 from .upseq import ZERO, ZERO_ONE, CharTuple, at, char_tuple, parse_eset, scale_tuple
 
 DEFAULT_SCAN_CAP = 10**6
@@ -331,17 +333,21 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str]) -> b
     Folds the word into one transition function per input automaton and
     evaluates the predicate on the resulting characteristic tuple.  This
     is the reference semantics that DFA constructions are checked against.
+    The inputs are validated automata, so the fold composes the plain
+    images of their rows; the folded maps become one ``TransTuple`` only
+    for ``char_tuple``.
     """
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
-    alphabet, letters = letter_tuples(dfas)
-    step = dict(zip(alphabet, letters))
-    f = tuple_identity(d.n_states for d in dfas)
+    index = {tok: li for li, tok in enumerate(shared_alphabet(dfas))}
+    images = [tuple(range(d.n_states)) for d in dfas]
     for tok in word:
-        if tok not in step:
+        li = index.get(tok)
+        if li is None:
             raise ValueError(f"unknown letter {tok!r}")
-        f = tuple_compose(step[tok], f)
-    chi = char_tuple(f, [d.initial for d in dfas], [d.finals for d in dfas])
+        images = [tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, images)]
+    ft = TransTuple(tuple(map(TransFn, images)))
+    chi = char_tuple(ft, [d.initial for d in dfas], [d.finals for d in dfas])
     return eval_pred(pred, chi)
 
 

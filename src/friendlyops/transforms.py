@@ -111,14 +111,20 @@ def tuple_compose(f: TransTuple, g: TransTuple) -> TransTuple:
     return TransTuple(tuple(compose(a, b) for a, b in zip(f.components, g.components)))
 
 
-def letter_tuples(dfas: Sequence[Dfa]) -> tuple[tuple[str, ...], list[TransTuple]]:
-    """The shared alphabet of the inputs and, per letter, its tuple of actions."""
+def shared_alphabet(dfas: Sequence[Dfa]) -> tuple[str, ...]:
+    """The one alphabet that every input automaton reads."""
     if not dfas:
         raise ValueError("need at least one input automaton")
     alphabet = dfas[0].alphabet
     for d in dfas[1:]:
         if d.alphabet != alphabet:
             raise ValueError("alphabet mismatch across inputs")
+    return alphabet
+
+
+def letter_tuples(dfas: Sequence[Dfa]) -> tuple[tuple[str, ...], list[TransTuple]]:
+    """The shared alphabet of the inputs and, per letter, its tuple of actions."""
+    alphabet = shared_alphabet(dfas)
     letters = [TransTuple(tuple(TransFn(d.trans[li]) for d in dfas)) for li in range(len(alphabet))]
     return alphabet, letters
 

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .automata import Dfa, _is_nat
 from .errors import ParseError
-from .transforms import TransFn, TransTuple, rho_shape
+from .transforms import TransFn, TransTuple, rho_walk
 
 _BITS = (0, 1)
 
@@ -117,13 +117,16 @@ def char_seq(f: TransFn, i: int, finals: Iterable[int]) -> UPSeq:
     canonical prefix is at most the orbit tail and the period divides the
     orbit cycle.
     """
-    fset = set(finals)
+    fset = finals if isinstance(finals, (set, frozenset)) else set(finals)
+    n = len(f.images)
     for q in fset:
-        if not 0 <= q < f.n:
-            raise ValueError(f"final state {q} outside [0, {f.n})")
-    shape = rho_shape(f, i)
-    bits = [1 if q in fset else 0 for q in shape.orbit]
-    return UPSeq(tuple(bits[: shape.tail]), tuple(bits[shape.tail :]))
+        if not 0 <= q < n:
+            raise ValueError(f"final state {q} outside [0, {n})")
+    if not 0 <= i < n:
+        raise ValueError(f"start {i} outside [0, {n})")
+    tail, orbit = rho_walk(f.images, i)
+    bits = [1 if q in fset else 0 for q in orbit]
+    return UPSeq(tuple(bits[:tail]), tuple(bits[tail:]))
 
 
 def char_tuple(ft: TransTuple, initials: Sequence[int], finals: Sequence[Iterable[int]]) -> CharTuple:

@@ -23,7 +23,7 @@ from friendlyops import (
     to_dot,
     wheel_builtin,
 )
-from friendlyops.automata import _hopcroft_partition, nerode_partition
+from friendlyops.automata import _hopcroft_partition, nerode_partition, words_up_to, words_within
 from friendlyops.errors import ParseError
 from friendlyops.experiments import random_dfa
 from friendlyops.upseq import UPSeq, upseq_to_unary_dfa
@@ -339,3 +339,19 @@ class TestCanonicalNumbering:
         # FIG1 with states relabeled by the swap 0<->1
         relabeled = Dfa(("a", "b"), 2, 1, {0}, ((1, 0), (0, 0)))
         assert canon(relabeled) == canon(FIG1)
+
+
+class TestWordsWithin:
+    def test_counts_words_up_to_the_cap(self):
+        for n_letters in range(4):
+            alphabet = "abc"[:n_letters]
+            for max_len in range(6):
+                count = sum(1 for _ in words_up_to(alphabet, max_len))
+                assert words_within(n_letters, max_len, count) == count
+                assert words_within(n_letters, max_len, count - 1) is None
+
+    def test_huge_lengths_are_refused_without_counting(self):
+        assert words_within(1, 10**18, 10**7) is None
+        assert words_within(1, 10**7 - 1, 10**7) == 10**7
+        assert words_within(0, 10**18, 1) == 1
+        assert words_within(2, 10**18, 10**7) is None

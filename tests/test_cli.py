@@ -167,6 +167,24 @@ class TestOracle:
         # the empty word is checked first
         assert capsys.readouterr().out == "disagreement on word: \n"
 
+    def test_word_cap_refuses_a_huge_maxlen(self, fig1_path, capsys):
+        assert main(["oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 10000000 words up to length 1000000000\n"
+
+    def test_word_cap_is_ten_times_max_states(self, fig1_path, capsys, monkeypatch):
+        # two letters: 63 words up to length 5, 127 up to length 6, against a cap of 100
+        argv = ["--max-states", "10", "oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen"]
+        assert main(argv + ["5"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 5\n"
+        walked = []
+        monkeypatch.setattr(cli, "word_oracle", lambda *args: walked.append(args))
+        assert main(argv + ["6"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: more than 100 words up to length 6\n")
+        assert walked == []  # refused before any word ran
+
     @pytest.mark.parametrize("expr", [
         "!" * 5000 + "L1",
         "(" * 2000 + "L1" + ")" * 2000,

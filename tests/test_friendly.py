@@ -31,10 +31,12 @@ from friendlyops import (
     word_oracle,
     words_up_to,
 )
-from friendlyops import friendly
+from friendlyops import friendly, transforms
 from friendlyops.errors import CapExceeded, ParseError
-from friendlyops.experiments import random_char_tuple, random_expr
+from friendlyops.experiments import random_char_tuple, random_dfa, random_expr
 from friendlyops.friendly import MAX_EXPR_DEPTH
+from friendlyops.transforms import letter_tuples, tuple_compose, tuple_identity
+from friendlyops.upseq import char_tuple
 
 # Expressions just past the depth limit, one per way of getting deep:
 # prefix operators, brackets, a flat left-leaning chain, nested roots, and
@@ -205,6 +207,67 @@ class TestWordOracle:
         other = upseq_to_unary_dfa(parse_char_tuple("(0)").components[0])
         with pytest.raises(ValueError, match="alphabet mismatch"):
             word_oracle(wheel_builtin(2), (FIG1, other), ["a"])
+
+
+def reference_oracle(pred, dfas, word):
+    """The oracle as a fold of validated tuples: tuple_compose from tuple_identity, then char_tuple."""
+    if pred.arity != len(dfas):
+        raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
+    alphabet, letters = letter_tuples(dfas)
+    step = dict(zip(alphabet, letters))
+    f = tuple_identity(d.n_states for d in dfas)
+    for tok in word:
+        if tok not in step:
+            raise ValueError(f"unknown letter {tok!r}")
+        f = tuple_compose(step[tok], f)
+    return eval_pred(pred, char_tuple(f, [d.initial for d in dfas], [d.finals for d in dfas]))
+
+
+class TestOracleAgreesWithTupleFold:
+    def test_random_inputs_all_words_up_to_six(self):
+        rng = random.Random(9)
+        arities, texts = set(), []
+        for case in range(24):
+            alphabet = "abc"[: 1 + case % 3]
+            pred = Compiled(random_expr(rng, 1 + (case // 3) % 3, 4))
+            dfas = [random_dfa(rng, rng.randint(1, 5), alphabet) for _ in range(pred.arity)]
+            arities.add(pred.arity)
+            texts.append(format_expr(pred.expr))
+            for w in words_up_to(alphabet, 6):
+                assert word_oracle(pred, dfas, w) == reference_oracle(pred, dfas, w), (texts[-1], w)
+        assert arities == {1, 2, 3}
+        assert any("Root(" in t for t in texts) and any("root[" in t for t in texts)
+
+    @pytest.mark.parametrize("pred, dfas, word, message", [
+        (wheel_builtin(2), (FIG1,), ["a"], "arity mismatch: 1 automata, predicate needs 2"),
+        (Compiled(Wheel(0)), (), ["a"], "need at least one input automaton"),
+        (wheel_builtin(2), (FIG1, upseq_to_unary_dfa(parse_char_tuple("(0)").components[0])), ["a"],
+         "alphabet mismatch across inputs"),
+        (wheel_builtin(1), (FIG1,), ["a", "z"], "unknown letter 'z'"),
+    ], ids=["arity", "no-inputs", "alphabet", "letter"])
+    def test_error_messages_are_unchanged(self, pred, dfas, word, message):
+        for oracle in (word_oracle, reference_oracle):
+            with pytest.raises(ValueError) as raised:
+                oracle(pred, dfas, word)
+            assert str(raised.value) == message
+
+    def test_one_char_tuple_and_no_composition_per_word(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle composed a TransTuple")
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return char_tuple(*args)
+
+        monkeypatch.setattr(friendly, "tuple_compose", refuse)
+        monkeypatch.setattr(transforms, "tuple_compose", refuse)
+        monkeypatch.setattr(friendly, "char_tuple", counting)
+        words = list(words_up_to(FIG1.alphabet, 5))
+        for w in words:
+            word_oracle(Compiled(parse_expr("Root(L1) & root[2](L2)")), (FIG1, FIG2), w)
+        assert len(calls) == len(words)
 
 
 class TestInjectivityProbe:

@@ -174,8 +174,17 @@ class TestCharSeq:
                 x = f(x)
 
     def test_final_state_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^final state 5 outside \[0, 2\)$"):
             char_seq(identity(2), 0, {5})
+
+    def test_start_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^start 2 outside \[0, 2\)$"):
+            char_seq(identity(2), 2, {1})
+
+    def test_finals_may_be_any_iterable(self):
+        f = TransFn((1, 2, 0))
+        want = char_seq(f, 0, frozenset({2}))
+        assert char_seq(f, 0, [2]) == char_seq(f, 0, iter([2, 2])) == want == parse_upseq("(001)")
 
 
 class TestCharTuple:
