@@ -28,6 +28,8 @@ from .friendly import EPredicate, eval_pred
 from .transforms import (
     TransFn,
     TransTuple,
+    _fn,
+    _tuple,
     all_tuples,
     compose,
     fn_token,
@@ -356,7 +358,8 @@ def accessible_tuples(
         cid = ids[j].get(images)
         if cid is None:
             stored += len(images)
-            check_stored_images(stored, max_states)
+            if stored > work:
+                check_stored_images(stored, max_states)
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
             for row in succ[j]:
@@ -364,7 +367,7 @@ def accessible_tuples(
         return cid
 
     def fill(j: int, a: int, c: int) -> int:
-        g = TransTuple((TransFn(components[j][c]),))
+        g = _tuple((_fn(components[j][c]),))
         succ[j][a][c] = cid = intern(j, tuple_compose(letter_components[j][a], g).components[0].images)
         return cid
 
@@ -444,7 +447,7 @@ def _final_states(
     for sid, key in enumerate(keys):
         hit = by_orbits.get(key)
         if hit is None:
-            state = TransTuple(tuple(TransFn(comps[ids_j[sid]]) for comps, ids_j in zip(components, coords)))
+            state = _tuple(tuple(_fn(comps[ids_j[sid]]) for comps, ids_j in zip(components, coords)))
             chi = char_tuple(state, cfg.initials, cfg.finals)
             hit = by_chi.get(chi)
             if hit is None:
@@ -472,7 +475,7 @@ class StandardBuild:
     @cached_property
     def states(self) -> tuple[TransTuple, ...]:
         per_state = zip(*(map(comps.__getitem__, ids_j) for comps, ids_j in zip(self.components, self.coords)))
-        return tuple(TransTuple(tuple(map(TransFn, images))) for images in per_state)
+        return tuple(_tuple(tuple(map(_fn, images))) for images in per_state)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(fn_token(t) for t in self.states)

@@ -23,7 +23,17 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class TransFn:
-    """A total function from {0..n-1} into itself, stored as its images."""
+    """A total function from {0..n-1} into itself, stored as its images.
+
+    Values are checked where they enter the package: this constructor
+    (every image a plain ``int``, ``bool`` excluded, in [0, n)), and
+    through it ``token_fn``, ``letter_tuples``, ``tn_generators``,
+    ``identity`` and the word oracle; ``parse_dfa`` and ``Dfa`` check
+    the rows these come from.  Self-maps of one set are closed under
+    composition, so ``compose``, ``tuple_compose`` and the build make
+    their results from already checked images with ``_fn`` and
+    ``_tuple``, which skip the check.
+    """
 
     images: tuple[int, ...]
 
@@ -34,6 +44,8 @@ class TransFn:
         if n == 0:
             raise ValueError("a TransFn needs a nonempty domain")
         for x, v in enumerate(images):
+            if type(v) is not int:
+                raise ValueError(f"image {v!r} of {x} is not an int")
             if not 0 <= v < n:
                 raise ValueError(f"image {v!r} of {x} outside [0, {n})")
 
@@ -72,6 +84,20 @@ class TransTuple:
         return tuple(f.n for f in self.components)
 
 
+def _fn(images: tuple[int, ...]) -> TransFn:
+    """The TransFn of images known to map [0, len(images)) into itself; unchecked."""
+    f = object.__new__(TransFn)
+    f.__dict__["images"] = images
+    return f
+
+
+def _tuple(components: tuple[TransFn, ...]) -> TransTuple:
+    """The TransTuple of a nonempty tuple of TransFn; unchecked."""
+    t = object.__new__(TransTuple)
+    t.__dict__["components"] = components
+    return t
+
+
 @dataclass(frozen=True)
 class RhoShape:
     """Orbit of a start point under a TransFn: a tail leading into a cycle.
@@ -97,7 +123,7 @@ def compose(f: TransFn, g: TransFn) -> TransFn:
     """Function composition: (f o g)(x) = f(g(x))."""
     if f.n != g.n:
         raise ValueError(f"size mismatch: {f.n} vs {g.n}")
-    return TransFn(tuple(f.images[v] for v in g.images))
+    return _fn(tuple(map(f.images.__getitem__, g.images)))
 
 
 def tuple_identity(sizes: Iterable[int]) -> TransTuple:
@@ -108,7 +134,7 @@ def tuple_compose(f: TransTuple, g: TransTuple) -> TransTuple:
     """Componentwise composition of two tuples of matching shape."""
     if len(f.components) != len(g.components):
         raise ValueError(f"shape mismatch: {f.sizes} vs {g.sizes}")
-    return TransTuple(tuple(compose(a, b) for a, b in zip(f.components, g.components)))
+    return _tuple(tuple(map(compose, f.components, g.components)))
 
 
 def shared_alphabet(dfas: Sequence[Dfa]) -> tuple[str, ...]:

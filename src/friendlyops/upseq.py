@@ -32,6 +32,11 @@ def _canonical(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[int,
     for b in list(prefix) + list(period):
         if b not in _BITS:
             raise ValueError(f"bit {b!r} is not 0 or 1")
+    return _reduce(prefix, period)
+
+
+def _reduce(prefix: Sequence[int], period: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The canonical form of a prefix and a nonempty period of bits, unchecked."""
     per = tuple(period)
     for d in range(1, len(per) + 1):
         if len(per) % d == 0 and per == per[:d] * (len(per) // d):
@@ -58,6 +63,13 @@ class UPSeq:
 
     def __str__(self) -> str:
         return format_upseq(self)
+
+
+def _bits(prefix: tuple[int, ...], period: tuple[int, ...]) -> UPSeq:
+    """The UPSeq of bits known to be 0 or 1, with a nonempty period; reduced, not checked."""
+    u = object.__new__(UPSeq)
+    u.__dict__["prefix"], u.__dict__["period"] = _reduce(prefix, period)
+    return u
 
 
 @dataclass(frozen=True)
@@ -98,12 +110,12 @@ def scale(u: UPSeq, m: int) -> UPSeq:
     if m < 0:
         raise ValueError("scale factor must be non-negative")
     if m == 0:
-        return UPSeq((), (at(u, 0),))
+        return _bits((), (at(u, 0),))
     a = ceil(len(u.prefix) / m)
     b = len(u.period) // gcd(len(u.period), m)
     prefix = tuple(at(u, m * p) for p in range(a))
     period = tuple(at(u, m * (a + t)) for t in range(b))
-    return UPSeq(prefix, period)
+    return _bits(prefix, period)
 
 
 def scale_tuple(chi: CharTuple, m: int) -> CharTuple:
@@ -126,7 +138,7 @@ def char_seq(f: TransFn, i: int, finals: Iterable[int]) -> UPSeq:
         raise ValueError(f"start {i} outside [0, {n})")
     tail, orbit = rho_walk(f.images, i)
     bits = [1 if q in fset else 0 for q in orbit]
-    return UPSeq(tuple(bits[:tail]), tuple(bits[tail:]))
+    return _bits(tuple(bits[:tail]), tuple(bits[tail:]))
 
 
 def char_tuple(ft: TransTuple, initials: Sequence[int], finals: Sequence[Iterable[int]]) -> CharTuple:

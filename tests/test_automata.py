@@ -77,6 +77,32 @@ class TestParse:
         assert message in str(exc.value)
 
 
+class TestNonIntegerValues:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((("a",), 2, 0, frozenset(), ((1.0, 0),)), r"image 1\.0 in row for 'a' is not an int"),
+            ((("a",), 2, 0, frozenset(), ((True, 0),)), r"image True in row for 'a' is not an int"),
+            ((("a",), 2, 0.0, frozenset(), ((1, 0),)), r"initial state 0\.0 is not an int"),
+            ((("a",), 2, True, frozenset(), ((1, 0),)), r"initial state True is not an int"),
+            ((("a",), 2, 0, frozenset({1.0}), ((1, 0),)), r"final state 1\.0 is not an int"),
+            ((("a",), 2, 0, frozenset({True}), ((1, 0),)), r"final state True is not an int"),
+            ((("a",), 2.0, 0, frozenset(), ((1, 0),)), r"state count 2\.0 is not an int"),
+        ],
+    )
+    def test_rejected_with_the_value_named(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Dfa(*args)
+
+    def test_out_of_range_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^image 2 out of range in row for 'b'$"):
+            Dfa(("a", "b"), 2, 0, frozenset(), ((1, 0), (0, 2)))
+        with pytest.raises(ValueError, match=r"^image -1 out of range in row for 'a'$"):
+            Dfa(("a",), 2, 0, frozenset(), ((-1, 0),))
+        with pytest.raises(ValueError, match=r"^final state 2 out of range$"):
+            Dfa(("a",), 2, 0, frozenset({0, 2}), ((1, 0),))
+
+
 class TestPrint:
     def test_golden_document(self):
         assert print_dfa(FIG1) == FIG1_DOC

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friendlyops import (
@@ -56,6 +56,10 @@ class TestTransFn:
             TransFn(())
         with pytest.raises(ValueError):
             TransFn((0, 2))
+        with pytest.raises(ValueError, match=r"image True of 0 is not an int"):
+            TransFn((True, 0))
+        with pytest.raises(ValueError, match=r"image 0\.0 of 0 is not an int"):
+            TransFn((0.0, 1.0))
 
     def test_predicates(self):
         assert identity(3).is_identity()
@@ -116,6 +120,52 @@ class TestTupleCompose:
     def test_shape_mismatch(self, left, right):
         with pytest.raises(ValueError):
             tuple_compose(tuple_identity(left), tuple_identity(right))
+
+
+@st.composite
+def matched_tuples(draw, count):
+    """``count`` tuples of one shape: 1-3 coordinates of sizes 1-6."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    return tuple(
+        TransTuple(tuple(TransFn(tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))) for n in sizes))
+        for _ in range(count)
+    )
+
+
+def assert_same_fn(got, want):
+    assert type(got) is TransFn and all(type(v) is int for v in got.images)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert fn_rank(got) == fn_rank(want)
+
+
+class TestResultsMatchCheckedConstruction:
+    """Composition builds its results unchecked; they behave as the checked construction of the same images."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(matched_fns(2))
+    def test_compose(self, fns):
+        f, g = fns
+        got = compose(f, g)
+        want = TransFn(tuple(f(g(x)) for x in range(f.n)))
+        assert_same_fn(got, want)
+        assert fn_token(TransTuple((got,))) == fn_token(TransTuple((want,)))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(matched_tuples(2))
+    def test_tuple_compose(self, pair):
+        f, g = pair
+        got = tuple_compose(f, g)
+        want = TransTuple(
+            tuple(TransFn(tuple(a(b(x)) for x in range(a.n))) for a, b in zip(f.components, g.components))
+        )
+        assert type(got) is TransTuple and type(got.components) is tuple
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.sizes == want.sizes == f.sizes
+        assert tuple_rank(got) == tuple_rank(want)
+        assert fn_token(got) == fn_token(want)
+        assert token_fn(fn_token(got)) == got
+        for c, w in zip(got.components, want.components):
+            assert_same_fn(c, w)
 
 
 def brute_rho(f, start):
