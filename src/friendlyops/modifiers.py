@@ -359,7 +359,7 @@ def accessible_tuples(
         if cid is None:
             stored += len(images)
             if stored > work:
-                check_stored_images(stored, max_states)
+                raise CapExceeded(f"more than {work} stored images")
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
             for row in succ[j]:

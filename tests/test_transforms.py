@@ -67,6 +67,12 @@ class TestTransFn:
         assert not TransFn((1, 0)).is_constant()
 
 
+def assert_same_fn(got, want):
+    assert type(got) is TransFn and all(type(v) is int for v in got.images)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert fn_rank(got) == fn_rank(want)
+
+
 class TestCompose:
     def test_identity_neutral(self):
         g = TransFn((1, 1))
@@ -90,11 +96,16 @@ class TestCompose:
         f, g, h = fns
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
     @given(matched_fns(2))
     def test_matches_direct_evaluation(self, fns):
         f, g = fns
         composed = compose(f, g)
         assert all(composed(x) == f(g(x)) for x in range(f.n))
+        # compose builds its result unchecked; it behaves as the checked construction of the same images
+        want = TransFn(tuple(f(g(x)) for x in range(f.n)))
+        assert_same_fn(composed, want)
+        assert fn_token(TransTuple((composed,))) == fn_token(TransTuple((want,)))
 
 
 class TestTupleCompose:
@@ -132,23 +143,8 @@ def matched_tuples(draw, count):
     )
 
 
-def assert_same_fn(got, want):
-    assert type(got) is TransFn and all(type(v) is int for v in got.images)
-    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
-    assert fn_rank(got) == fn_rank(want)
-
-
 class TestResultsMatchCheckedConstruction:
-    """Composition builds its results unchecked; they behave as the checked construction of the same images."""
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(matched_fns(2))
-    def test_compose(self, fns):
-        f, g = fns
-        got = compose(f, g)
-        want = TransFn(tuple(f(g(x)) for x in range(f.n)))
-        assert_same_fn(got, want)
-        assert fn_token(TransTuple((got,))) == fn_token(TransTuple((want,)))
+    """tuple_compose builds its result unchecked; it behaves as the checked construction of the same images."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(matched_tuples(2))
