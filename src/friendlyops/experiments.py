@@ -28,8 +28,8 @@ from .friendly import (
     format_expr,
     wheel_builtin,
 )
-from .modifiers import DEFAULT_MAX_STATES, build_standard, build_standard_detailed
-from .monsters import MonsterSpec, monster
+from .modifiers import DEFAULT_MAX_STATES, build_standard, build_standard_detailed, check_transitions
+from .monsters import MonsterSpec, letter_count, monster
 from .transforms import tuple_rank, TransFn, TransTuple
 from .upseq import CharTuple, UPSeq
 
@@ -120,10 +120,17 @@ def sc_on_witness(
     """Measure the state complexity of the operation on a monster witness.
 
     ``max_states`` caps both the monster's letters and the built states.
+    Each of the n distinct letters is one step from the identity, so the
+    build reaches at least n tuples; when n tuples times n letters pass
+    the transition cap, the build's refusal is raised before any letter
+    is made.
     """
     if pred.arity != len(sizes):
         raise ValueError(f"arity mismatch: {len(sizes)} sizes, predicate needs {pred.arity}")
-    dfas = monster(MonsterSpec(tuple(sizes), alphabet_kind), max_letters=max_states)
+    spec = MonsterSpec(tuple(sizes), alphabet_kind)
+    n_letters = letter_count(spec, max_letters=max_states)
+    check_transitions(n_letters, n_letters, max_states)
+    dfas = monster(spec, max_letters=max_states)
     built = build_standard(pred, dfas, "accessible", max_states=max_states)
     sc = minimize(built).n_states
     predicted = predicted_sc(pred, sizes)

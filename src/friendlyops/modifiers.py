@@ -306,6 +306,18 @@ def _work_cap(n_tuples: int, n_letters: int, max_states: int) -> CapExceeded:
     return CapExceeded(f"{n_tuples} tuples x {n_letters} letters exceed the cap of {work} transitions")
 
 
+def check_transitions(reached: int, n_letters: int, max_states: int) -> None:
+    """Refuse, as the build would, a build known to reach ``reached`` tuples.
+
+    A build over ``n_letters`` letters numbers at most
+    ``TRANSITIONS_PER_STATE * max_states // n_letters`` tuples and refuses
+    the next one, naming its count.
+    """
+    work_limit = TRANSITIONS_PER_STATE * max_states // max(n_letters, 1)
+    if reached > work_limit:
+        raise _work_cap(work_limit + 1, n_letters, max_states)
+
+
 def accessible_tuples(
     letters: Sequence[TransTuple], starts: Iterable[TransTuple], max_states: int
 ) -> tuple[Components, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -321,7 +333,10 @@ def accessible_tuples(
     given order.  ``rows[li][s]`` is the number of ``letters[li] o`` tuple
     s.  A letter acts on coordinate j through a table of successor ids
     that ``tuple_compose`` fills the first time a letter component meets a
-    component, so each distinct pair is composed once.
+    component, so each distinct pair is composed once.  The tables of a
+    coordinate grow in bulk, padded with -1 whenever a new component id
+    passes their length, and the search builds one operand per state and
+    coordinate, on the state's first miss there.
 
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
@@ -332,23 +347,26 @@ def accessible_tuples(
     k = first.k
     components: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
-    letter_components: list[list[TransTuple]] = [[] for _ in range(k)]
-    letter_ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
-    # succ[j][a][c]: id of letter component a o component c, -1 until composed
+    # Per distinct letter component of coordinate j: (j, successor row, the
+    # component as a one-component operand).  row[c] is the id of the letter
+    # component o component c, -1 until composed.
+    bound_of: list[dict[tuple[int, ...], tuple[int, list[int], TransTuple]]] = [{} for _ in range(k)]
+    # succ[j]: the successor rows of coordinate j, all of one length, at least len(components[j])
     succ: list[list[list[int]]] = [[] for _ in range(k)]
-    acts = []
-    for lt in letters:
+    grow: list[list[int]] = [[] for _ in letters]
+    # Per letter: its row of grow and its triple on each coordinate.
+    binds = []
+    for lt, row in zip(letters, grow):
         if lt.k != k:
             raise ValueError(f"shape mismatch: {lt.sizes} vs {first.sizes}")
-        act = []
+        bound = []
         for j, f in enumerate(lt.components):
-            a = letter_ids[j].get(f.images)
-            if a is None:
-                a = letter_ids[j][f.images] = len(letter_components[j])
-                letter_components[j].append(TransTuple((f,)))
-                succ[j].append([-1] * len(components[j]))
-            act.append(a)
-        acts.append(act)
+            b = bound_of[j].get(f.images)
+            if b is None:
+                b = bound_of[j][f.images] = (j, [], _tuple((f,)))
+                succ[j].append(b[1])
+            bound.append(b)
+        binds.append((row, tuple(bound)))
 
     work = TRANSITIONS_PER_STATE * max_states
     stored = 0
@@ -362,18 +380,17 @@ def accessible_tuples(
                 raise CapExceeded(f"more than {work} stored images")
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
-            for row in succ[j]:
-                row.append(-1)
+            rows = succ[j]
+            if rows and cid >= len(rows[0]):
+                pad = [-1] * (cid // 8 + 64)
+                for row in rows:
+                    row.extend(pad)
         return cid
 
-    def fill(j: int, a: int, c: int) -> int:
-        g = _tuple((_fn(components[j][c]),))
-        succ[j][a][c] = cid = intern(j, tuple_compose(letter_components[j][a], g).components[0].images)
-        return cid
-
-    work_limit = work // max(len(letters), 1)
-    if work_limit < 1:
-        raise _work_cap(1, len(letters), max_states)
+    check_transitions(1, len(letters), max_states)
+    # Numbering refuses at the first of the state cap and the transition
+    # cap, with the state cap's message when both apply.
+    limit = min(max_states, work // max(len(letters), 1))
     # A tuple's key is its component ids in mixed radix.  Every id belongs to
     # a numbered tuple or to the one whose numbering passes the cap, so no id
     # exceeds max_states.
@@ -383,9 +400,9 @@ def accessible_tuples(
 
     def number(key: int, cids: Sequence[int]) -> int:
         sid = len(index)
-        if sid >= max_states:
-            raise CapExceeded(f"more than {max_states} reachable tuples")
-        if sid >= work_limit:
+        if sid >= limit:
+            if sid >= max_states:
+                raise CapExceeded(f"more than {max_states} reachable tuples")
             raise _work_cap(sid + 1, len(letters), max_states)
         index[key] = sid
         for coord, c in zip(coords, cids):
@@ -399,21 +416,27 @@ def accessible_tuples(
             key = key * radix + c
         if key not in index:
             number(key, cids)
-    grow: list[list[int]] = [[] for _ in letters]
     i = 0
     while i < len(index):
         here = [ids_j[i] for ids_j in coords]
+        operands: list[TransTuple | None] = [None] * k
         i += 1
-        for act, row in zip(acts, grow):
+        for row, bound in binds:
             key = 0
-            for j, a in enumerate(act):
-                c = succ[j][a][here[j]]
+            cids = []
+            for j, srow, lop in bound:
+                h = here[j]
+                c = srow[h]
                 if c < 0:
-                    c = fill(j, a, here[j])
+                    g = operands[j]
+                    if g is None:
+                        g = operands[j] = _tuple((_fn(components[j][h]),))
+                    srow[h] = c = intern(j, tuple_compose(lop, g).components[0].images)
                 key = key * radix + c
+                cids.append(c)
             sid = index.get(key)
             if sid is None:
-                sid = number(key, [succ[j][a][here[j]] for j, a in enumerate(act)])
+                sid = number(key, cids)
             row.append(sid)
     return tuple(map(tuple, components)), tuple(map(tuple, coords)), tuple(map(tuple, grow))
 

@@ -48,6 +48,22 @@ class MonsterSpec:
             raise ValueError(f"unknown alphabet kind {self.alphabet_kind!r}")
 
 
+def letter_count(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> int:
+    """The number of distinct letters of the monster, refused as ``monster`` refuses it.
+
+    Nothing is made: the count comes from the sizes alone.
+    """
+    sizes = spec.sizes
+    if spec.alphabet_kind == "full":
+        n_letters = tuple_space_within(sizes, max_letters)
+        if n_letters is None:
+            raise CapExceeded(f"full alphabet has {tuple_space_text(sizes)} letters, cap is {max_letters}")
+    else:
+        n_letters = sum(min(n, 3) for n in sizes if n > 1) + (1 in sizes)
+    check_stored_images(n_letters * sum(sizes), max_letters)
+    return n_letters
+
+
 def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> tuple[Dfa, ...]:
     """Build the coordinate DFAs of a monster on their common alphabet.
 
@@ -59,13 +75,7 @@ def monster(spec: MonsterSpec, *, max_letters: int = DEFAULT_MAX_STATES) -> tupl
     and all size-1 coordinates share the one identity letter.
     """
     sizes = spec.sizes
-    if spec.alphabet_kind == "full":
-        n_letters = tuple_space_within(sizes, max_letters)
-        if n_letters is None:
-            raise CapExceeded(f"full alphabet has {tuple_space_text(sizes)} letters, cap is {max_letters}")
-    else:
-        n_letters = sum(min(n, 3) for n in sizes if n > 1) + (1 in sizes)
-    check_stored_images(n_letters * sum(sizes), max_letters)
+    letter_count(spec, max_letters=max_letters)
     if spec.alphabet_kind == "full":
         letter_tuples = list(all_tuples(sizes))
     else:

@@ -121,7 +121,7 @@ def constant(n: int, value: int) -> TransFn:
 
 def compose(f: TransFn, g: TransFn) -> TransFn:
     """Function composition: (f o g)(x) = f(g(x))."""
-    if f.n != g.n:
+    if len(f.images) != len(g.images):
         raise ValueError(f"size mismatch: {f.n} vs {g.n}")
     return _fn(tuple(map(f.images.__getitem__, g.images)))
 

@@ -3,7 +3,7 @@
 import pytest
 from conftest import FIG1, FIG1_DOC, FIG2, FIG3, canon
 
-from friendlyops import cli, equivalent, parse_dfa, print_dfa
+from friendlyops import cli, equivalent, experiments, parse_dfa, print_dfa
 from friendlyops.cli import main
 
 
@@ -239,6 +239,23 @@ class TestSc:
         assert main(["sc", "--wheel", "1", "--kind", "full", "--sizes", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "transitions" in err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["sc", "--wheel", "1", "--kind", "full", "--sizes", "6"],
+         "error: 215 tuples x 46656 letters exceed the cap of 10000000 transitions\n"),
+        (["--max-states", "1000", "sc", "--wheel", "1", "--kind", "full", "--sizes", "4"],
+         "error: 40 tuples x 256 letters exceed the cap of 10000 transitions\n"),
+    ], ids=["default-cap-size-6", "cap-1000-size-4"])
+    def test_full_alphabet_work_refused_before_any_letter(self, monkeypatch, capsys, argv, line):
+        # every letter tuple is reached, so letters x letters over the cap is refused up front
+        def no_letters(*args, **kwargs):
+            raise AssertionError("monster made letters")
+
+        monkeypatch.setattr(experiments, "monster", no_letters)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
 
     def test_image_cap_refuses_large_coordinate(self, capsys):
         # 300 images per component: the cap of 10 x 1000 stored images is reached after 33 states

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import FIG1, FIG2, FIG3, FIG5, brute_equivalent, canon
 
 from friendlyops import (
@@ -37,7 +39,17 @@ from friendlyops.errors import CapExceeded
 from friendlyops.experiments import random_dfa, random_predicate
 from friendlyops.modifiers import _random_tuple, _std_action
 from friendlyops.monsters import MonsterSpec, monster
-from friendlyops.transforms import compose, letter_tuples, rho_shape, tuple_identity, tuple_rank, tuple_space_size
+from friendlyops.transforms import (
+    all_tuples,
+    compose,
+    identity,
+    letter_tuples,
+    rho_shape,
+    tn_generators,
+    tuple_identity,
+    tuple_rank,
+    tuple_space_size,
+)
 
 SIGMA_STAR = Dfa(("a", "b"), 1, 0, {0}, ((0,), (0,)))
 EMPTY = Dfa(("a", "b"), 1, 0, set(), ((0,), (0,)))
@@ -385,6 +397,115 @@ class TestInternedBuild:
         assert "states" not in vars(build)
         assert len(build.states) == 27
         assert "states" in vars(build)
+
+
+class TestCompositionCount:
+    """The build calls ``tuple_compose`` once per distinct (letter component, component) pair."""
+
+    @pytest.mark.parametrize("expr, sizes, mode, calls", [
+        ("wheel 1", (4,), "accessible", 768),  # 3 letter components x 256 components
+        ("Root(L1 & L2) | root[2](L3)", (3, 3, 3), "accessible", 324),  # 3 coordinates x 4 x 27
+        ("wheel 1", (3,), "full", 81),  # 3 x 27
+        ("wheel 2", (2, 3), "accessible", 120),  # 3 x 4 + 4 x 27
+    ], ids=["mono-n4", "kary-3x3x3", "full-n3", "wheel2-2x3"])
+    def test_one_call_per_successor_table_miss(self, monkeypatch, expr, sizes, mode, calls):
+        count = 0
+        inner = modifiers.tuple_compose
+
+        def counted(f, g):
+            nonlocal count
+            count += 1
+            return inner(f, g)
+
+        monkeypatch.setattr(modifiers, "tuple_compose", counted)
+        build_standard(Compiled(parse_expr(expr)), monster(MonsterSpec(sizes, "generators")), mode)
+        assert count == calls
+
+
+def plain_compose(f, g):
+    """``f o g`` componentwise, through checked TransFn values only."""
+    return TransTuple(tuple(
+        TransFn(tuple(a.images[x] for x in b.images)) for a, b in zip(f.components, g.components)
+    ))
+
+
+def naive_accessible(letters, starts, cap):
+    """Breadth-first search over TransTuple values: (tuples in order, rows), or None past ``cap`` tuples."""
+    order = list(dict.fromkeys(starts))
+    number = {t: s for s, t in enumerate(order)}
+    rows = [[] for _ in letters]
+    for t in order:
+        for lt, row in zip(letters, rows):
+            u = plain_compose(lt, t)
+            if u not in number:
+                if len(order) == cap:
+                    return None
+                number[u] = len(order)
+                order.append(u)
+            row.append(number[u])
+    return order, rows
+
+
+def monster_letters(sizes):
+    return letter_tuples(monster(MonsterSpec(sizes, "generators")))[1]
+
+
+@st.composite
+def engine_inputs(draw):
+    """Sizes of 1-3 coordinates (1-4 each), 1-4 letters of mixed kinds, and whether to start full."""
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+
+    def fn(n):
+        return TransFn(tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))))
+
+    letters = []
+    kinds = ("random", "generator", "identity", "repeat")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "identity":
+            letters.append(tuple_identity(sizes))
+        elif kind == "generator":
+            # a monster letter: one generator of the full monoid on one coordinate, identity elsewhere
+            j = draw(st.integers(0, len(sizes) - 1))
+            g = draw(st.sampled_from(tn_generators(sizes[j])))
+            letters.append(TransTuple(tuple(g if i == j else identity(n) for i, n in enumerate(sizes))))
+        elif kind == "repeat" and letters:
+            letters.append(letters[draw(st.integers(0, len(letters) - 1))])
+        else:
+            letters.append(TransTuple(tuple(fn(n) for n in sizes)))
+    full = draw(st.booleans()) and tuple_space_size(sizes) <= 300
+    return sizes, letters, full
+
+
+class TestEngineAgainstNaiveSearch:
+    """``accessible_tuples`` against a breadth-first search written over TransTuple values."""
+
+    CAP = 300
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(engine_inputs())
+    # monster letters: 256 components on one coordinate, past the cap, and a full start of mixed sizes
+    @example(((4,), monster_letters((4,)), False))
+    @example(((2, 4), monster_letters((2, 4)), False))
+    @example(((1, 4), monster_letters((1, 4)) * 2, True))
+    def test_same_components_coords_and_rows(self, case):
+        sizes, letters, full = case
+        starts = list(all_tuples(sizes)) if full else [tuple_identity(sizes)]
+        want = naive_accessible(letters, starts, self.CAP)
+        if want is None:
+            with pytest.raises(CapExceeded, match=f"^more than {self.CAP} reachable tuples$"):
+                modifiers.accessible_tuples(letters, starts, self.CAP)
+            return
+        order, rows = want
+        components, coords, got_rows = modifiers.accessible_tuples(letters, starts, self.CAP)
+        # components are interned in order of first appearance over the numbered tuples
+        want_components = tuple(
+            tuple(dict.fromkeys(t.components[j].images for t in order)) for j in range(len(sizes))
+        )
+        assert components == want_components
+        assert coords == tuple(
+            tuple(comps.index(t.components[j].images) for t in order) for j, comps in enumerate(want_components)
+        )
+        assert got_rows == tuple(map(tuple, rows))
 
 
 class TestCapsAndErrors:
