@@ -414,7 +414,8 @@ def to_dot(d: Dfa) -> str:
     """Graphviz digraph with the initial state marked by an external arrow.
 
     Output is deterministic: nodes in id order, edge labels grouping
-    letters in alphabet order.
+    letters in alphabet order.  Letter tokens cannot contain ``"``, so
+    doubling each ``\\`` is all a quoted label needs.
     """
     out = ["digraph dfa {", "  rankdir=LR;", '  __init [shape=none label=""];']
     out.append(f"  __init -> {d.initial};")
@@ -426,7 +427,7 @@ def to_dot(d: Dfa) -> str:
         for tok, row in zip(d.alphabet, d.trans):
             grouped.setdefault(row[q], []).append(tok)
         for t, toks in grouped.items():
-            label = ",".join(toks)
+            label = ",".join(toks).replace("\\", "\\\\")
             out.append(f'  {q} -> {t} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"

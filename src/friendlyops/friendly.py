@@ -116,14 +116,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == m.start():
+        if m is None:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
             at_pos = len(text) - len(stripped)
             raise ParseError(f"syntax error at position {at_pos}: unexpected character {stripped[0]!r}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens
 

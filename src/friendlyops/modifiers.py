@@ -148,11 +148,7 @@ def xor_mod() -> Modifier:
             tuple(d1.images[q1] * n2 + d2.images[q2] for q1 in range(n1) for q2 in range(n2))
         )
 
-    def label(cfg: StateConfig, s: int) -> str:
-        q1, q2 = divmod(s, cfg.sizes[1])
-        return f"({q1},{q2})"
-
-    return Modifier(2, n_states, initial, is_final, action, label)
+    return Modifier(2, n_states, initial, is_final, action)
 
 
 def compl_mod() -> Modifier:
@@ -170,7 +166,7 @@ def compl_mod() -> Modifier:
     def action(cfg: StateConfig, dt: TransTuple) -> TransFn:
         return dt.components[0]
 
-    return Modifier(1, n_states, initial, is_final, action, lambda cfg, s: str(s))
+    return Modifier(1, n_states, initial, is_final, action)
 
 
 def compose_mod(m1: Modifier, p: int, m2: Modifier) -> Modifier:

@@ -271,9 +271,12 @@ def tuple_space_text(sizes: Iterable[int]) -> str:
 
     Past the interpreter's int-to-str digit limit the count is written as
     a product of powers such as ``3000^3000``, which costs nothing to form.
+    Where the limit is off, or predates Python 3.10.7, its default of 4300
+    digits is used, so every version writes the same messages.
     """
     sizes = tuple(sizes)
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    digits = (get_limit() if get_limit else 0) or 4300
     total = tuple_space_within(sizes, 10**digits - 1)
     return str(total) if total is not None else " * ".join(f"{n}^{n}" for n in sizes)
 

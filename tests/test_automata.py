@@ -69,6 +69,13 @@ class TestParse:
             ("dfa v1\nalphabet a\nstates 2\ninitial \u0660\nfinal\ntrans a: 0 0\n", "line 4: 'initial' expects"),
             ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal \u00b2\ntrans a: 0 0\n", "line 5: 'final' expects"),
             ("dfa v1\nalphabet a\nstates 2\ninitial 0\nfinal\ntrans a: 0 \u0661\n", "line 6: images must be"),
+            ("", "line 1: malformed header"),
+            ("dfa v1\nalphabet a\nstates 1\ninitial 0\nfinal\nfoo 1\ntrans a: 0\n", "line 6: unknown directive 'foo'"),
+            ("dfa v1\nalphabet a\nstates 1\ninitial 0\ntrans a: 0\n", "line 5: missing 'final' line"),
+            ('dfa v1\nalphabet a"\nstates 1\ninitial 0\nfinal\ntrans a": 0\n', "line 2: invalid letter token"),
+            ("dfa v1\nalphabet a\nstates 0\ninitial 0\nfinal\ntrans a:\n", "line 3: state count must be positive"),
+            ("dfa v1\nalphabet a\nstates 1\ninitial 0\nfinal\ntrans a 0\n", "line 6: expected 'trans <letter>: <images>'"),
+            ("dfa v1\nalphabet a\nstates 1\ninitial 0\nfinal\ntrans a: 0\ntrans a: 0\n", "line 7: duplicate transition row"),
         ],
     )
     def test_errors_carry_line_numbers(self, doc, message):
@@ -88,6 +95,12 @@ class TestNonIntegerValues:
             ((("a",), 2, 0, frozenset({1.0}), ((1, 0),)), r"final state 1\.0 is not an int"),
             ((("a",), 2, 0, frozenset({True}), ((1, 0),)), r"final state True is not an int"),
             ((("a",), 2.0, 0, frozenset(), ((1, 0),)), r"state count 2\.0 is not an int"),
+            ((("a",), 0, 0, frozenset(), ((),)), r"^a Dfa needs at least one state$"),
+            ((("a", "a"), 2, 0, frozenset(), ((1, 0), (1, 0))), r"^duplicate letter in alphabet$"),
+            ((("a:",), 2, 0, frozenset(), ((1, 0),)), r"^invalid letter token 'a:'$"),
+            ((("a", "b"), 2, 0, frozenset(), ((1, 0),)), r"^one transition row per letter required$"),
+            ((("a",), 2, 0, frozenset(), ((1, 0, 0),)), r"^row for 'a' has length 3, expected 2$"),
+            ((("a",), 2, 2, frozenset(), ((1, 0),)), r"^initial state 2 out of range$"),
         ],
     )
     def test_rejected_with_the_value_named(self, args, message):
@@ -338,19 +351,21 @@ class TestPreimage:
 
 class TestDot:
     def test_figure_golden(self):
-        dot = to_dot(FIG1)
-        assert dot == (
-            "digraph dfa {\n"
-            "  rankdir=LR;\n"
-            '  __init [shape=none label=""];\n'
-            "  __init -> 0;\n"
-            "  0 [shape=circle];\n"
-            "  1 [shape=doublecircle];\n"
-            '  0 -> 1 [label="a,b"];\n'
-            '  1 -> 0 [label="a"];\n'
-            '  1 -> 1 [label="b"];\n'
-            "}\n"
-        )
+        # A backslash in a letter is doubled: a lone one before the closing quote would escape it.
+        for a, label_ab, label_a in [("a", "a,b", "a"), ("a\\", "a\\\\,b", "a\\\\")]:
+            dot = to_dot(Dfa((a, "b"), FIG1.n_states, FIG1.initial, FIG1.finals, FIG1.trans))
+            assert dot == (
+                "digraph dfa {\n"
+                "  rankdir=LR;\n"
+                '  __init [shape=none label=""];\n'
+                "  __init -> 0;\n"
+                "  0 [shape=circle];\n"
+                "  1 [shape=doublecircle];\n"
+                f'  0 -> 1 [label="{label_ab}"];\n'
+                f'  1 -> 0 [label="{label_a}"];\n'
+                '  1 -> 1 [label="b"];\n'
+                "}\n"
+            )
 
     def test_no_finals_no_double_circles(self):
         d = Dfa(("a",), 2, 0, set(), ((1, 1),))

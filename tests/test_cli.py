@@ -1,5 +1,8 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import sys
+from types import SimpleNamespace
+
 import pytest
 from conftest import FIG1, FIG1_DOC, FIG2, FIG3, canon
 
@@ -198,16 +201,24 @@ class TestOracle:
 
 
 class TestSc:
-    def test_wheel_range(self, capsys):
-        assert main(["sc", "--wheel", "1", "--sizes", "2..5"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines() == [
-            "op,sizes,sc,predicted,match",
-            "wheel 1,2,3,3,true",
-            "wheel 1,3,25,25,true",
-            "wheel 1,4,253,253,true",
-            "wheel 1,5,3121,3121,true",
-        ]
+    def test_wheel_range(self, tmp_path, capsys):
+        # one, two and three coordinates, the full alphabet, and an eset predicate, which has no prediction
+        eset = tmp_path / "tail.eset"
+        eset.write_text("eset v1 k=1\n0(1)\n")
+        for argv, rows in [
+            (["sc", "--wheel", "1", "--sizes", "2..5"], [
+                "wheel 1,2,3,3,true",
+                "wheel 1,3,25,25,true",
+                "wheel 1,4,253,253,true",
+                "wheel 1,5,3121,3121,true",
+            ]),
+            (["sc", "--wheel", "2", "--sizes", "2x3"], ["wheel 2,2x3,108,108,true"]),
+            (["sc", "--wheel", "3", "--sizes", "2x2x3"], ["wheel 3,2x2x3,432,432,true"]),
+            (["sc", "--wheel", "1", "--kind", "full", "--sizes", "3"], ["wheel 1,3,25,25,true"]),
+            (["sc", "--eset", str(eset), "--sizes", "2..3"], ["eset-k1-m1,2,3,,", "eset-k1-m1,3,6,,"]),
+        ]:
+            assert main(argv) == 0
+            assert capsys.readouterr().out.splitlines() == ["op,sizes,sc,predicted,match", *rows]
 
     def test_markdown_format(self, capsys):
         assert main(["--format", "md", "sc", "--wheel", "2", "--sizes", "2x2"]) == 0
@@ -225,6 +236,19 @@ class TestSc:
         assert main(["--max-states", "1000", "sc", "--wheel", "1", "--kind", "full", "--sizes", "6"]) == 3
         err = capsys.readouterr().err
         assert err == "error: full alphabet has 46656 letters, cap is 1000\n"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--max-states", "1000", "sc", "--wheel", "1", "--kind", "full", "--sizes", "6"],
+         "error: full alphabet has 46656 letters, cap is 1000\n"),
+        (["sc", "--wheel", "1", "--kind", "full", "--sizes", "3000"],
+         "error: full alphabet has 3000^3000 letters, cap is 1000000\n"),
+    ], ids=["46656", "3000^3000"])
+    def test_letter_counts_written_the_same_before_python_3_10_7(self, monkeypatch, capsys, argv, line):
+        # Python 3.10.0-3.10.6 have neither the int-to-str digit limit nor its default
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.setattr(sys, "int_info", SimpleNamespace(bits_per_digit=30, sizeof_digit=4))
+        assert main(argv) == 3
+        assert capsys.readouterr().err == line
 
     def test_transition_cap_refuses_full_alphabet_work(self, capsys):
         # 256 letters x 256 states: both under the cap of 1000, their product over 10 x 1000

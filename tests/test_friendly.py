@@ -74,6 +74,7 @@ class TestParseExpr:
 
     def test_spaced_index(self):
         assert parse_expr("L 1") == Arg(1)
+        assert parse_expr("L1 ") == Arg(1)
 
     @pytest.mark.parametrize(
         "bad", ["", "L0", "L", "wheel 0", "root[2](L1", "L1 &", "& L1", "L1 L2", "root(L1)", "foo"]

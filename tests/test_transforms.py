@@ -20,6 +20,7 @@ from friendlyops import (
     tuple_identity,
 )
 from friendlyops.errors import ParseError
+from friendlyops.modifiers import accessible_tuples
 from friendlyops.transforms import (
     all_fns,
     all_tuples,
@@ -127,10 +128,16 @@ class TestTupleCompose:
         # component 1: swap o c1 = [0,0]; component 2: c1 o swap = [1,1]
         assert result == TransTuple((TransFn((0, 0)), TransFn((1, 1))))
 
-    @pytest.mark.parametrize("left, right", [((2,), (3,)), ((2,), (2, 2))], ids=["sizes", "count"])
-    def test_shape_mismatch(self, left, right):
-        with pytest.raises(ValueError):
-            tuple_compose(tuple_identity(left), tuple_identity(right))
+    @pytest.mark.parametrize("apply, left, right, message", [
+        (tuple_compose, (2,), (3,), r"^size mismatch: 2 vs 3$"),
+        (tuple_compose, (2,), (2, 2), r"^shape mismatch: \(2,\) vs \(2, 2\)$"),
+        # the build engine: a letter of another shape than its start
+        (lambda letter, start: accessible_tuples([letter], [start], 100), (2,), (2, 2),
+         r"^shape mismatch: \(2,\) vs \(2, 2\)$"),
+    ], ids=["sizes", "count", "engine"])
+    def test_shape_mismatch(self, apply, left, right, message):
+        with pytest.raises(ValueError, match=message):
+            apply(tuple_identity(left), tuple_identity(right))
 
 
 @st.composite
