@@ -10,4 +10,8 @@ class ParseError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A configured resource cap (states, letters, scan bound) was hit."""
+    """A configured resource cap was hit.
+
+    The capped counts are states, letters, transitions, stored images,
+    words and the exponents of a ``Root`` scan.
+    """

@@ -297,11 +297,6 @@ def check_stored_images(stored: int, max_states: int) -> None:
         raise CapExceeded(f"more than {work} stored images")
 
 
-def _work_cap(n_tuples: int, n_letters: int, max_states: int) -> CapExceeded:
-    work = TRANSITIONS_PER_STATE * max_states
-    return CapExceeded(f"{n_tuples} tuples x {n_letters} letters exceed the cap of {work} transitions")
-
-
 def check_transitions(reached: int, n_letters: int, max_states: int) -> None:
     """Refuse, as the build would, a build known to reach ``reached`` tuples.
 
@@ -309,9 +304,10 @@ def check_transitions(reached: int, n_letters: int, max_states: int) -> None:
     ``TRANSITIONS_PER_STATE * max_states // n_letters`` tuples and refuses
     the next one, naming its count.
     """
-    work_limit = TRANSITIONS_PER_STATE * max_states // max(n_letters, 1)
+    work = TRANSITIONS_PER_STATE * max_states
+    work_limit = work // max(n_letters, 1)
     if reached > work_limit:
-        raise _work_cap(work_limit + 1, n_letters, max_states)
+        raise CapExceeded(f"{work_limit + 1} tuples x {n_letters} letters exceed the cap of {work} transitions")
 
 
 def accessible_tuples(
@@ -373,7 +369,7 @@ def accessible_tuples(
         if cid is None:
             stored += len(images)
             if stored > work:
-                raise CapExceeded(f"more than {work} stored images")
+                check_stored_images(stored, max_states)
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
             rows = succ[j]
@@ -383,7 +379,6 @@ def accessible_tuples(
                     row.extend(pad)
         return cid
 
-    check_transitions(1, len(letters), max_states)
     # Numbering refuses at the first of the state cap and the transition
     # cap, with the state cap's message when both apply.
     limit = min(max_states, work // max(len(letters), 1))
@@ -399,7 +394,7 @@ def accessible_tuples(
         if sid >= limit:
             if sid >= max_states:
                 raise CapExceeded(f"more than {max_states} reachable tuples")
-            raise _work_cap(sid + 1, len(letters), max_states)
+            check_transitions(sid + 1, len(letters), max_states)
         index[key] = sid
         for coord, c in zip(coords, cids):
             coord.append(c)
@@ -530,8 +525,7 @@ def build_standard_detailed(
         total = tuple_space_within(cfg.sizes, max_states)
         if total is None:
             raise CapExceeded(f"full state space has {tuple_space_text(cfg.sizes)} tuples, cap is {max_states}")
-        if total * len(letters) > TRANSITIONS_PER_STATE * max_states:
-            raise _work_cap(total, len(letters), max_states)
+        check_transitions(total, len(letters), max_states)
         starts, init = all_tuples(cfg.sizes), _std_initial(cfg)
     else:
         starts, init = [tuple_identity(cfg.sizes)], 0

@@ -146,6 +146,8 @@ class TestAccepts:
     def test_unknown_letter(self):
         with pytest.raises(ValueError, match="unknown letter"):
             accepts(FIG1, ["c"])
+        with pytest.raises(ValueError, match=r"^unknown letter 'z'$"):
+            FIG1.row("z")
 
 
 class TestAccessiblePart:
@@ -347,6 +349,10 @@ class TestPreimage:
     def test_unmapped_letter(self):
         with pytest.raises(ValueError, match="unknown letter"):
             preimage_dfa(FIG1, {"x": "z"})
+
+    def test_empty_map(self):
+        with pytest.raises(ValueError, match=r"^letter map must be nonempty$"):
+            preimage_dfa(FIG1, {})
 
 
 class TestDot:

@@ -296,6 +296,13 @@ class TestSc:
         assert main(["sc", "--wheel", "1", "--sizes", sizes]) == 2
         assert capsys.readouterr().err.startswith("error: bad size entry")
 
+    @pytest.mark.parametrize("sizes", ["2x0", "0"])
+    def test_zero_sizes_are_usage_errors(self, capsys, sizes):
+        assert main(["sc", "--wheel", "1", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad size entry {sizes!r}\n"
+
     def test_non_ascii_integer_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sc", "--wheel", "\u0661", "--sizes", "2"])

@@ -56,6 +56,19 @@ class TestScOnWitness:
             sc_on_witness(wheel_builtin(1), (2, 2))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ScRow("wheel 1", (3,), 0, None, None), "state complexity is at least 1"),
+        (lambda: ScRow("wheel 1", (3,), 25, None, True), "match must accompany a predicted value"),
+        (lambda: ScRow("wheel 1", (3,), 24, 25, True), "match flag inconsistent with measured/predicted"),
+        (lambda: gst_class_audit(wheel_builtin(2), FIG1), "the audit is unary"),
+    ], ids=["sc-zero", "match-without-predicted", "match-inconsistent", "audit-arity"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 class TestUnaryBoundAudit:
     def test_size_one_is_trivial(self):
         report = unary_bound_audit(10, 1, seed=0)

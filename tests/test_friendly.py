@@ -133,6 +133,16 @@ class TestEvalPred:
         with pytest.raises(ValueError, match="arity"):
             eval_pred(wheel_builtin(2), parse_char_tuple("(0)"))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Explicit((), 0), "arity must be positive"),
+        (lambda: Explicit((parse_char_tuple("(0),(1)"),), 1), "tuple arity 2 != predicate arity 1"),
+        (lambda: wheel_builtin(0), "wheel arity must be positive"),
+    ], ids=["explicit-arity", "explicit-tuple", "wheel-arity"])
+    def test_predicate_rejected_with_message(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     def test_argument_reads_index_one(self):
         # membership of a word is membership of its first power
         pred = Compiled(parse_expr("L1"))

@@ -25,6 +25,7 @@ from friendlyops import (
     equivalent,
     minimize,
     parse_expr,
+    sc_on_witness,
     sqrt_mod,
     standardize,
     tuple_compose,
@@ -518,13 +519,19 @@ class TestCapsAndErrors:
         with pytest.raises(CapExceeded):
             build_standard(wheel_builtin(1), m3, max_states=10)
 
-    @pytest.mark.parametrize("mode", ["accessible", "full"])
-    def test_transition_cap(self, mode):
-        # 27 letters x 27 tuples = 729 transitions: within 10 x 100, over 10 x 50
-        m3 = monster(MonsterSpec((3,), "full"))
-        assert build_standard(wheel_builtin(1), m3, mode, max_states=100).n_states == 27
-        with pytest.raises(CapExceeded, match="27 letters exceed the cap of 500 transitions"):
-            build_standard(wheel_builtin(1), m3, mode, max_states=50)
+    @pytest.mark.parametrize("build, size", [
+        (lambda cap: build_standard(wheel_builtin(1), monster(MonsterSpec((3,), "full")), "accessible",
+                                    max_states=cap).n_states, 27),
+        (lambda cap: build_standard(wheel_builtin(1), monster(MonsterSpec((3,), "full")), "full",
+                                    max_states=cap).n_states, 27),
+        (lambda cap: sc_on_witness(wheel_builtin(1), (3,), "full", max_states=cap).sc, 25),
+    ], ids=["accessible", "full", "sc"])
+    def test_transition_cap(self, build, size):
+        # 27 letters x 27 tuples = 729 transitions: within 10 x 100, over 10 x 50, which
+        # allows 500 // 27 = 18 tuples; every path names the 19th
+        assert build(100) == size
+        with pytest.raises(CapExceeded, match=r"^19 tuples x 27 letters exceed the cap of 500 transitions$"):
+            build(50)
 
     def test_transition_cap_counts_letters_before_any_state(self):
         m3 = monster(MonsterSpec((3,), "full"))
@@ -547,6 +554,8 @@ class TestCapsAndErrors:
     def test_arity_and_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             build_standard(wheel_builtin(2), (FIG1,))
+        with pytest.raises(ValueError, match=r"^arity mismatch: 1 automata, modifier needs 2$"):
+            apply_modifier(xor_mod(), (FIG1,))
         other = Dfa(("a",), 1, 0, set(), ((0,),))
         with pytest.raises(ValueError, match="alphabet mismatch"):
             build_standard(wheel_builtin(2), (FIG1, other))

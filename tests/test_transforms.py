@@ -61,6 +61,8 @@ class TestTransFn:
             TransFn((True, 0))
         with pytest.raises(ValueError, match=r"image 0\.0 of 0 is not an int"):
             TransFn((0.0, 1.0))
+        with pytest.raises(ValueError, match=r"^a TransTuple needs at least one component$"):
+            TransTuple(())
 
     def test_predicates(self):
         assert identity(3).is_identity()

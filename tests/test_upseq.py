@@ -58,6 +58,15 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             UPSeq((0,), ())
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: UPSeq((2,), (0,)), "bit 2 is not 0 or 1"),
+        (lambda: CharTuple(()), "a CharTuple needs at least one component"),
+    ], ids=["bit", "no-component"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
     @given(prefixes, periods)
     def test_idempotent_and_value_preserving(self, prefix, period):
         u = UPSeq(prefix, period)
@@ -246,6 +255,10 @@ class TestLiterals:
     def test_char_tuple_round_trip(self):
         chi = parse_char_tuple("0(1),(01),(0)")
         assert format_char_tuple(chi) == "0(1),(01),(0)"
+
+    def test_str_is_the_literal(self):
+        assert str(UPSeq((0,), (1,))) == "0(1)"
+        assert str(CharTuple((UPSeq((), (0,)), UPSeq((0,), (1,))))) == "(0),0(1)"
 
 
 class TestEsetFormat:
