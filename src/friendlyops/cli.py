@@ -160,8 +160,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     work = TRANSITIONS_PER_STATE * args.max_states
     if words_within(len(build.alphabet), args.maxlen, work) is None:
         raise CapExceeded(f"more than {work} words up to length {args.maxlen}")
+    memo: dict = {}
     for word in words_up_to(build.alphabet, args.maxlen):
-        if accepts(build, word) != word_oracle(pred, dfas, word):
+        if accepts(build, word) != word_oracle(pred, dfas, word, memo=memo):
             print("disagreement on word: " + " ".join(word))
             return 1
     print(f"agreement on all words up to length {args.maxlen}")

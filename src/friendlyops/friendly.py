@@ -326,7 +326,7 @@ def eval_pred(pred: EPredicate, chi: CharTuple) -> bool:
     raise TypeError(f"not a predicate: {pred!r}")
 
 
-def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str]) -> bool:
+def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str], *, memo: dict | None = None) -> bool:
     """Direct word-membership test for the operation named by ``pred``.
 
     Folds the word into one transition function per input automaton and
@@ -335,6 +335,13 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str]) -> b
     The inputs are validated automata, so the fold composes the plain
     images of their rows; the folded maps become one ``TransTuple`` only
     for ``char_tuple``.
+
+    ``memo``, if given, maps a folded key (one image tuple per input) to
+    its verdict, so each distinct folded map is evaluated once.  It is read
+    only after the fold, so every refusal is raised as without it, and the
+    verdicts are the same.  A memo belongs to exactly one ``(pred, dfas)``
+    pair.  Each key is a state of the accessible standard build of that
+    pair, so the memo holds at most that build's number of states.
     """
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
@@ -345,9 +352,17 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str]) -> b
         if li is None:
             raise ValueError(f"unknown letter {tok!r}")
         images = [tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, images)]
+    if memo is not None:
+        key = tuple(images)
+        verdict = memo.get(key)
+        if verdict is not None:
+            return verdict
     ft = TransTuple(tuple(map(TransFn, images)))
     chi = char_tuple(ft, [d.initial for d in dfas], [d.finals for d in dfas])
-    return eval_pred(pred, chi)
+    verdict = eval_pred(pred, chi)
+    if memo is not None:
+        memo[key] = verdict
+    return verdict
 
 
 def explicit_from_file(text: str) -> Explicit:

@@ -165,10 +165,23 @@ class TestOracle:
 
     def test_disagreement_exits_one(self, fig1_path, capsys, monkeypatch):
         oracle = cli.word_oracle
-        monkeypatch.setattr(cli, "word_oracle", lambda pred, dfas, word: not oracle(pred, dfas, word))
+        monkeypatch.setattr(cli, "word_oracle", lambda pred, dfas, word, **kw: not oracle(pred, dfas, word, **kw))
         assert main(["oracle", "--expr", "Root(L1)", "--dfa", fig1_path, "--maxlen", "3"]) == 1
         # the empty word is checked first
         assert capsys.readouterr().out == "disagreement on word: \n"
+
+    def test_one_oracle_call_per_word(self, fig1_path, capsys, monkeypatch):
+        oracle = cli.word_oracle
+        walked = []
+
+        def counting(pred, dfas, word, **kw):
+            walked.append(word)
+            return oracle(pred, dfas, word, **kw)
+
+        monkeypatch.setattr(cli, "word_oracle", counting)
+        assert main(["oracle", "--expr", "Root(L1)", "--dfa", fig1_path, "--maxlen", "5"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 5\n"
+        assert len(walked) == 63  # 1 + 2 + 4 + 8 + 16 + 32 words over two letters
 
     def test_word_cap_refuses_a_huge_maxlen(self, fig1_path, capsys):
         assert main(["oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen", "1000000000"]) == 3

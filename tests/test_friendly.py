@@ -18,6 +18,7 @@ from friendlyops import (
     Wheel,
     Xor,
     accepts,
+    build_standard,
     eval_expr,
     eval_pred,
     explicit_from_file,
@@ -244,8 +245,11 @@ class TestOracleAgreesWithTupleFold:
             dfas = [random_dfa(rng, rng.randint(1, 5), alphabet) for _ in range(pred.arity)]
             arities.add(pred.arity)
             texts.append(format_expr(pred.expr))
+            memo = {}
             for w in words_up_to(alphabet, 6):
-                assert word_oracle(pred, dfas, w) == reference_oracle(pred, dfas, w), (texts[-1], w)
+                want = reference_oracle(pred, dfas, w)
+                assert word_oracle(pred, dfas, w, memo=None) == want, (texts[-1], w)
+                assert word_oracle(pred, dfas, w, memo=memo) == want, (texts[-1], w, "memo")
         assert arities == {1, 2, 3}
         assert any("Root(" in t for t in texts) and any("root[" in t for t in texts)
 
@@ -275,10 +279,18 @@ class TestOracleAgreesWithTupleFold:
         monkeypatch.setattr(friendly, "tuple_compose", refuse)
         monkeypatch.setattr(transforms, "tuple_compose", refuse)
         monkeypatch.setattr(friendly, "char_tuple", counting)
+        pred = Compiled(parse_expr("Root(L1) & root[2](L2)"))
         words = list(words_up_to(FIG1.alphabet, 5))
         for w in words:
-            word_oracle(Compiled(parse_expr("Root(L1) & root[2](L2)")), (FIG1, FIG2), w)
+            word_oracle(pred, (FIG1, FIG2), w)
         assert len(calls) == len(words)
+        # with a memo, one char_tuple per distinct folded map, each a state of the accessible build
+        calls.clear()
+        memo = {}
+        for w in words:
+            word_oracle(pred, (FIG1, FIG2), w, memo=memo)
+        assert len(calls) == len(memo) < len(words)
+        assert len(memo) <= build_standard(pred, (FIG1, FIG2)).n_states
 
 
 class TestInjectivityProbe:
