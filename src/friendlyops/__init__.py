@@ -70,13 +70,11 @@ from .modifiers import (
 )
 from .monsters import MonsterSpec, monster, reachable_tuples
 from .transforms import (
-    RhoShape,
     TransFn,
     TransTuple,
     compose,
     fn_token,
     identity,
-    rho_shape,
     tn_generators,
     token_fn,
     tuple_compose,

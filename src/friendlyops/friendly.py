@@ -336,33 +336,49 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str], *, m
     images of their rows; the folded maps become one ``TransTuple`` only
     for ``char_tuple``.
 
-    ``memo``, if given, maps a folded key (one image tuple per input) to
-    its verdict, so each distinct folded map is evaluated once.  It is read
-    only after the fold, so every refusal is raised as without it, and the
-    verdicts are the same.  A memo belongs to exactly one ``(pred, dfas)``
-    pair.  Each key is a state of the accessible standard build of that
-    pair, so the memo holds at most that build's number of states.
+    ``memo`` maps each folded key met so far (one image tuple per input)
+    to its record ``[succ_0, ..., succ_{L-1}, key, verdict]``: one slot per
+    letter index for the record of the map one letter further on, then the
+    key, then the verdict, each ``None`` until first needed.  A word starts
+    at the identity map's record and follows successor references; only a
+    missing successor is folded, once.  So, across the calls that share a
+    memo, the fold runs once per (distinct folded map, letter) and
+    ``char_tuple`` once per distinct folded map.  Without a memo the call
+    uses a fresh one of its own.  The arity, alphabet and letter checks run
+    on every call before the memo is read, so every refusal is raised
+    whatever the memo holds and leaves it unchanged.  A memo belongs to
+    exactly one ``(pred, dfas)`` pair.  Each key is a state of the
+    accessible standard build of that pair, so the memo holds at most that
+    build's number of states, each with at most one successor per letter.
     """
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
     index = {tok: li for li, tok in enumerate(shared_alphabet(dfas))}
-    images = [tuple(range(d.n_states)) for d in dfas]
-    for tok in word:
-        li = index.get(tok)
-        if li is None:
-            raise ValueError(f"unknown letter {tok!r}")
-        images = [tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, images)]
-    if memo is not None:
-        key = tuple(images)
-        verdict = memo.get(key)
-        if verdict is not None:
-            return verdict
-    ft = TransTuple(tuple(map(TransFn, images)))
-    chi = char_tuple(ft, [d.initial for d in dfas], [d.finals for d in dfas])
-    verdict = eval_pred(pred, chi)
-    if memo is not None:
-        memo[key] = verdict
-    return verdict
+    letters = list(map(index.get, word))
+    if None in letters:
+        raise ValueError(f"unknown letter {word[letters.index(None)]!r}")
+    if memo is None:
+        memo = {}
+    rec = _record(memo, tuple(tuple(range(d.n_states)) for d in dfas), len(index))
+    for li in letters:
+        succ = rec[li]
+        if succ is None:
+            key = tuple(tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, rec[-2]))
+            succ = rec[li] = _record(memo, key, len(index))
+        rec = succ
+    if rec[-1] is None:
+        ft = TransTuple(tuple(map(TransFn, rec[-2])))
+        chi = char_tuple(ft, [d.initial for d in dfas], [d.finals for d in dfas])
+        rec[-1] = eval_pred(pred, chi)
+    return rec[-1]
+
+
+def _record(memo: dict, key: tuple, n_letters: int) -> list:
+    """The memo record of a folded key, made on first use (see ``word_oracle``)."""
+    rec = memo.get(key)
+    if rec is None:
+        rec = memo[key] = [None] * n_letters + [key, None]
+    return rec
 
 
 def explicit_from_file(text: str) -> Explicit:

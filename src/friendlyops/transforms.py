@@ -98,19 +98,6 @@ def _tuple(components: tuple[TransFn, ...]) -> TransTuple:
     return t
 
 
-@dataclass(frozen=True)
-class RhoShape:
-    """Orbit of a start point under a TransFn: a tail leading into a cycle.
-
-    ``orbit`` lists the distinct visited states; the first ``tail`` entries
-    are visited once, the remaining ``cycle`` entries repeat forever.
-    """
-
-    tail: int
-    cycle: int
-    orbit: tuple[int, ...]
-
-
 def identity(n: int) -> TransFn:
     return TransFn(tuple(range(n)))
 
@@ -153,18 +140,6 @@ def letter_tuples(dfas: Sequence[Dfa]) -> tuple[tuple[str, ...], list[TransTuple
     alphabet = shared_alphabet(dfas)
     letters = [TransTuple(tuple(TransFn(d.trans[li]) for d in dfas)) for li in range(len(alphabet))]
     return alphabet, letters
-
-
-def rho_shape(f: TransFn, start: int) -> RhoShape:
-    """Walk start, f(start), ... until the first revisit.
-
-    The returned (tail, cycle) pair is minimal: no shorter tail or cycle
-    describes the orbit, and tail + cycle <= n.
-    """
-    if not 0 <= start < f.n:
-        raise ValueError(f"start {start} outside [0, {f.n})")
-    tail, orbit = rho_walk(f.images, start)
-    return RhoShape(tail, len(orbit) - tail, orbit)
 
 
 def rho_walk(images: Sequence[int], start: int) -> tuple[int, tuple[int, ...]]:

@@ -293,6 +293,55 @@ class TestOracleAgreesWithTupleFold:
         assert len(memo) <= build_standard(pred, (FIG1, FIG2)).n_states
 
 
+class TestWarmMemo:
+    """A memo that a full sweep has filled: refusals as without it, and bounded by the build."""
+
+    PRED = Compiled(parse_expr("Root(L1) & root[2](L2)"))
+    DFAS = (FIG1, FIG2)
+
+    def warm(self):
+        memo = {}
+        for w in words_up_to(FIG1.alphabet, 6):
+            word_oracle(self.PRED, self.DFAS, w, memo=memo)
+        return memo
+
+    @pytest.mark.parametrize("pred, dfas, word, message", [
+        (wheel_builtin(1), (FIG1, FIG2), ["a"], "arity mismatch: 2 automata, predicate needs 1"),
+        (PRED, (FIG1, upseq_to_unary_dfa(parse_char_tuple("(0)").components[0])), ["a"],
+         "alphabet mismatch across inputs"),
+        (PRED, (FIG1, FIG2), ["a", "z"], "unknown letter 'z'"),
+    ], ids=["arity", "alphabet", "letter"])
+    def test_refusals_match_the_plain_fold(self, pred, dfas, word, message):
+        memo = self.warm()
+        # the first letter's step is memoized, so a lookup before the check would pass 'a'
+        start = memo[tuple(tuple(range(d.n_states)) for d in self.DFAS)]
+        assert start[FIG1.alphabet.index("a")] is not None
+        before = {key: list(rec) for key, rec in memo.items()}
+        for m in (None, memo):
+            with pytest.raises(ValueError) as raised:
+                word_oracle(pred, dfas, word, memo=m)
+            assert str(raised.value) == message
+        assert {key: list(rec) for key, rec in memo.items()} == before
+
+    def test_bounded_by_the_accessible_build(self, monkeypatch):
+        memo = self.warm()
+        sigma = len(FIG1.alphabet)
+        assert len(memo) <= build_standard(self.PRED, self.DFAS).n_states
+        for key, rec in memo.items():
+            assert len(rec) == sigma + 2 and rec[-2] == key and rec[-1] is not None
+            for li, succ in enumerate(rec[:sigma]):
+                # each successor is the record of the key one letter further on
+                step = tuple(tuple(d.trans[li][q] for q in f) for d, f in zip(self.DFAS, key))
+                assert succ is None or succ is memo[step]
+        # a second sweep only looks up: no new record, no characteristic tuple
+        words = list(words_up_to(FIG1.alphabet, 6))
+        want = [word_oracle(self.PRED, self.DFAS, w) for w in words]
+        monkeypatch.setattr(friendly, "char_tuple", None)
+        size = len(memo)
+        assert [word_oracle(self.PRED, self.DFAS, w, memo=memo) for w in words] == want
+        assert len(memo) == size
+
+
 class TestInjectivityProbe:
     def test_distinct_tuples_are_separated_by_one_letter(self):
         # one-letter witness languages read off the tuples themselves

@@ -45,7 +45,7 @@ from friendlyops.transforms import (
     compose,
     identity,
     letter_tuples,
-    rho_shape,
+    rho_walk,
     tn_generators,
     tuple_identity,
     tuple_rank,
@@ -386,8 +386,8 @@ class TestInternedBuild:
         d = dfas[0]
         orbits = set()
         for t in build.states:
-            shape = rho_shape(t.components[0], d.initial)
-            orbits.add((shape.tail, tuple(q in d.finals for q in shape.orbit)))
+            tail, orbit = rho_walk(t.components[0].images, d.initial)
+            orbits.add((tail, tuple(q in d.finals for q in orbit)))
         chis = {char_tuple(t, (d.initial,), (d.finals,)) for t in build.states}
         assert build.dfa.n_states == 256
         assert calls == {"char_tuple": len(orbits), "eval_pred": len(chis)}

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friendlyops import (
-    RhoShape,
     TransFn,
     TransTuple,
     compose,
     fn_token,
     identity,
-    rho_shape,
     tn_generators,
     token_fn,
     tuple_compose,
@@ -27,6 +25,7 @@ from friendlyops.transforms import (
     constant,
     fn_rank,
     fn_unrank,
+    rho_walk,
     tuple_rank,
     tuple_space_size,
     tuple_space_text,
@@ -190,30 +189,25 @@ def brute_rho(f, start):
     raise AssertionError("no rho shape within n steps")
 
 
-class TestRhoShape:
+class TestRhoWalk:
     def test_swap(self):
-        assert rho_shape(TransFn((1, 0)), 0) == RhoShape(0, 2, (0, 1))
+        assert rho_walk((1, 0), 0) == (0, (0, 1))
 
     def test_tail_then_fixpoint(self):
-        assert rho_shape(TransFn((1, 1)), 0) == RhoShape(1, 1, (0, 1))
+        assert rho_walk((1, 1), 0) == (1, (0, 1))
 
     def test_identity_fixed_point(self):
         for q in range(3):
-            assert rho_shape(identity(3), q) == RhoShape(0, 1, (q,))
-
-    def test_start_out_of_range(self):
-        with pytest.raises(ValueError):
-            rho_shape(identity(2), 2)
+            assert rho_walk(identity(3).images, q) == (0, (q,))
 
     @given(trans_fns(), st.integers(0, 5))
     def test_minimality(self, f, start):
         start %= f.n
-        shape = rho_shape(f, start)
-        assert shape.tail + shape.cycle <= f.n
-        tail, cycle = brute_rho(f, start)
-        assert (shape.tail, shape.cycle) == (tail, cycle)
-        assert len(set(shape.orbit)) == len(shape.orbit)
-        assert f(shape.orbit[-1]) == shape.orbit[shape.tail]
+        tail, orbit = rho_walk(f.images, start)
+        assert len(orbit) <= f.n
+        assert (tail, len(orbit) - tail) == brute_rho(f, start)
+        assert len(set(orbit)) == len(orbit)
+        assert f(orbit[-1]) == orbit[tail]
 
 
 def closure(gens, n):

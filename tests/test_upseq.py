@@ -22,12 +22,12 @@ from friendlyops import (
     parse_char_tuple,
     parse_eset,
     parse_upseq,
-    rho_shape,
     scale,
     scale_tuple,
     upseq_to_unary_dfa,
 )
 from friendlyops.errors import ParseError
+from friendlyops.transforms import rho_walk
 
 bits = st.integers(0, 1)
 prefixes = st.lists(bits, max_size=5).map(tuple)
@@ -165,20 +165,21 @@ class TestCharSeq:
         assert char_seq(identity(2), 0, {1}) == parse_upseq("(0)")
         assert char_seq(TransFn((1, 1)), 0, {1}) == parse_upseq("0(1)")
 
-    def test_result_bounded_by_rho_shape(self):
+    def test_result_bounded_by_rho_walk(self):
         rng = random.Random(5)
         for _ in range(200):
             n = rng.randint(1, 7)
             f = TransFn(tuple(rng.randrange(n) for _ in range(n)))
             i = rng.randrange(n)
             finals = {q for q in range(n) if rng.random() < 0.5}
-            shape = rho_shape(f, i)
+            tail, orbit = rho_walk(f.images, i)
+            cycle = len(orbit) - tail
             u = char_seq(f, i, finals)
-            assert len(u.prefix) <= shape.tail
-            assert shape.cycle % len(u.period) == 0
+            assert len(u.prefix) <= tail
+            assert cycle % len(u.period) == 0
             # values agree with direct orbit iteration
             x = i
-            for p in range(shape.tail + 2 * shape.cycle):
+            for p in range(tail + 2 * cycle):
                 assert at(u, p) == (1 if x in finals else 0)
                 x = f(x)
 
