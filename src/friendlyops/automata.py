@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
@@ -73,11 +74,16 @@ class Dfa:
             if not 0 <= q < n:
                 raise ValueError(f"final state {q} out of range")
 
+    @cached_property
+    def _letter_ids(self) -> dict[str, int]:
+        """Each letter's index in ``alphabet``; built on first use, not a field."""
+        return {tok: li for li, tok in enumerate(self.alphabet)}
+
     def letter_index(self, letter: str) -> int:
-        try:
-            return self.alphabet.index(letter)
-        except ValueError:
-            raise ValueError(f"unknown letter {letter!r}") from None
+        li = self._letter_ids.get(letter)
+        if li is None:
+            raise ValueError(f"unknown letter {letter!r}")
+        return li
 
     def row(self, letter: str) -> tuple[int, ...]:
         return self.trans[self.letter_index(letter)]
@@ -85,7 +91,7 @@ class Dfa:
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:
     """Run the word from the initial state; true iff it lands on a final."""
-    index = {tok: li for li, tok in enumerate(d.alphabet)}
+    index = d._letter_ids
     q = d.initial
     for tok in word:
         li = index.get(tok)
@@ -201,6 +207,8 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
                     i = loc[q]
                     if i >= m:  # not yet marked: swap q into the marked front
                         if m == first[b]:
+                            if past[b] == m + 1:  # a one-state block never splits
+                                continue
                             touched.append(b)
                         r = elems[m]
                         elems[i] = r

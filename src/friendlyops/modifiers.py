@@ -17,10 +17,12 @@ in that shape without changing the recognized language.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from math import prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automata import Dfa
 from .errors import CapExceeded
@@ -49,6 +51,12 @@ from .upseq import CharTuple, char_tuple
 DEFAULT_MAX_STATES = 10**6
 # A build may perform this many transitions (states times letters) per state of its cap.
 TRANSITIONS_PER_STATE = 10
+# accessible_tuples expands numbered tuples in blocks of this many (tuple, letter) pairs,
+# rounded down to whole tuples.  A block holds one key per pair until it is numbered, at
+# most 160 kB here.  Larger blocks gained nothing measurable: on the 3x3x3 monster
+# (9 letters) a whole sc run took 0.31-0.33 s, with a peak RSS within 1% of the per-pair
+# search's, at every size from 1,024 to 65,536 pairs.
+BLOCK_PAIRS = 4096
 
 # Per coordinate, the images of each distinct component, indexed by component id.
 Components = tuple[tuple[tuple[int, ...], ...], ...]
@@ -325,40 +333,65 @@ def accessible_tuples(
     given order.  ``rows[li][s]`` is the number of ``letters[li] o`` tuple
     s.  A letter acts on coordinate j through a table of successor ids
     that ``tuple_compose`` fills the first time a letter component meets a
-    component, so each distinct pair is composed once.  The tables of a
-    coordinate grow in bulk, padded with -1 whenever a new component id
-    passes their length, and the search builds one operand per state and
-    coordinate, on the state's first miss there.
+    component, so each distinct pair is composed once.
+
+    The search expands a block of numbered tuples at a time:
+    ``BLOCK_PAIRS // len(letters)`` of them, at least one.  Components are
+    interned in order of first appearance over the numbered tuples, so the
+    table slots a block misses are those of the components that first
+    appear in it; they are filled first, in (tuple, letter, coordinate)
+    order.  Then every successor of the block is keyed by its component ids
+    in mixed radix (the tables hold the ids pre-scaled), the keys not seen
+    before are numbered in (tuple, letter) order, and the successors'
+    numbers join one list of transitions in that order, which is cut into
+    the rows at the end.  All of this but the fill runs in C, through
+    ``map``, ``dict.fromkeys`` and ``itertools``.
 
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
     many images stored across the interned components raise CapExceeded.
+    The refusal is the one a search of one (tuple, letter) pair at a time
+    would meet first: before a component that passes the stored-images
+    cap is refused, the successors of the pairs before its pair are
+    numbered, and that numbering may refuse first.
     """
     starts = iter(starts)
     first = next(starts)
     k = first.k
     components: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
     ids: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
-    # Per distinct letter component of coordinate j: (j, successor row, the
-    # component as a one-component operand).  row[c] is the id of the letter
-    # component o component c, -1 until composed.
-    bound_of: list[dict[tuple[int, ...], tuple[int, list[int], TransTuple]]] = [{} for _ in range(k)]
-    # succ[j]: the successor rows of coordinate j, all of one length, at least len(components[j])
-    succ: list[list[list[int]]] = [[] for _ in range(k)]
-    grow: list[list[int]] = [[] for _ in letters]
-    # Per letter: its row of grow and its triple on each coordinate.
+    # cids[j][c] is the int object c that ids[j] holds; coords[j] are decoded through it, so
+    # that every reference to an id shares one object.
+    cids: list[list[int]] = [[] for _ in range(k)]
+    # A tuple's key is its component ids in mixed radix.  Coordinate j of n
+    # points has at most n**n components, and its radix is that or, if that
+    # is more, max_states + 1.  An id belongs to a numbered tuple or to a
+    # successor of the block being expanded.  If a coordinate of radix
+    # max_states + 1 holds that many ids or more, the keys of those tuples
+    # take more than max_states values (the ids of the last such coordinate
+    # cover every residue), so the numbering refuses before it decodes a key.
+    radices = [tuple_space_within((n,), max_states) or max_states + 1 for n in first.sizes]
+    scales = [prod(radices[j + 1 :]) for j in range(k)]
+    # Per distinct letter component of coordinate j: (successor row, the component as a
+    # one-component operand, scale).  row[c] is scale times the id of the letter component o
+    # component c, -1 until composed.
+    bound_of: list[dict[tuple[int, ...], tuple[list[int], TransTuple, int]]] = [{} for _ in range(k)]
+    # tables[j][li]: the successor row of letter li on coordinate j.  The rows of a coordinate
+    # are all of one length, at least filled[j]; they grow in bulk, padded with -1.
+    tables: list[list[list[int]]] = [[] for _ in range(k)]
+    # Per letter: its triple on each coordinate.
     binds = []
-    for lt, row in zip(letters, grow):
+    for lt in letters:
         if lt.k != k:
             raise ValueError(f"shape mismatch: {lt.sizes} vs {first.sizes}")
         bound = []
         for j, f in enumerate(lt.components):
             b = bound_of[j].get(f.images)
             if b is None:
-                b = bound_of[j][f.images] = (j, [], _tuple((f,)))
-                succ[j].append(b[1])
+                b = bound_of[j][f.images] = ([], _tuple((f,)), scales[j])
+            tables[j].append(b[0])
             bound.append(b)
-        binds.append((row, tuple(bound)))
+        binds.append(tuple(bound))
 
     work = TRANSITIONS_PER_STATE * max_states
     stored = 0
@@ -372,64 +405,89 @@ def accessible_tuples(
                 check_stored_images(stored, max_states)
             cid = ids[j][images] = len(components[j])
             components[j].append(images)
-            rows = succ[j]
-            if rows and cid >= len(rows[0]):
-                pad = [-1] * (cid // 8 + 64)
-                for row in rows:
-                    row.extend(pad)
+            cids[j].append(cid)
         return cid
 
     # Numbering refuses at the first of the state cap and the transition
     # cap, with the state cap's message when both apply.
     limit = min(max_states, work // max(len(letters), 1))
-    # A tuple's key is its component ids in mixed radix.  Every id belongs to
-    # a numbered tuple or to the one whose numbering passes the cap, so no id
-    # exceeds max_states.
-    radix = max_states + 1
     index: dict[int, int] = {}
     coords: list[list[int]] = [[] for _ in range(k)]
+    targets: list[int] = []  # the number of each successor, tuple by tuple, letters in order
 
-    def number(key: int, cids: Sequence[int]) -> int:
+    def number(keys: Iterable[int]) -> None:
+        """Number the keys not numbered yet, in order of first appearance."""
+        new = dict.fromkeys(itertools.filterfalse(index.__contains__, keys))
         sid = len(index)
-        if sid >= limit:
-            if sid >= max_states:
+        if sid + len(new) > limit:
+            if limit >= max_states:
                 raise CapExceeded(f"more than {max_states} reachable tuples")
-            check_transitions(sid + 1, len(letters), max_states)
-        index[key] = sid
-        for coord, c in zip(coords, cids):
-            coord.append(c)
-        return sid
+            check_transitions(limit + 1, len(letters), max_states)
+        index.update(zip(new, range(sid, sid + len(new))))
+        for coord, objs, scale, radix in zip(coords, cids, scales, radices):  # each key's digit there
+            digits = map(operator.floordiv, new, itertools.repeat(scale))
+            coord.extend(map(objs.__getitem__, map(operator.mod, digits, itertools.repeat(radix))))
 
-    for t in itertools.chain((first,), starts):
-        cids = [intern(j, f.images) for j, f in enumerate(t.components)]
-        key = 0
-        for c in cids:
-            key = key * radix + c
-        if key not in index:
-            number(key, cids)
+    def successor_keys(parts: list[list[int]]) -> Iterator[int]:
+        """The successor keys of the tuples with component ids ``parts``, tuple by tuple, letters in order."""
+        # per coordinate and tuple: its scaled successor ids there, one per letter
+        per_coord = (
+            map(map, map(operator.itemgetter, part), itertools.repeat(row)) for part, row in zip(parts, tables)
+        )
+        keys = next(per_coord)
+        for more in per_coord:
+            keys = map(map, itertools.repeat(operator.add), keys, more)
+        return itertools.chain.from_iterable(keys)
+
+    start_keys: list[int] = []
+    try:
+        for t in itertools.chain((first,), starts):
+            start_keys.append(sum(intern(j, f.images) * scales[j] for j, f in enumerate(t.components)))
+    except CapExceeded:
+        number(start_keys)  # the starts before the refused one come first
+        raise
+    number(start_keys)
+    filled = [0] * k  # per coordinate: the components whose slots are filled
+    span = max(1, BLOCK_PAIRS // max(len(letters), 1))  # tuples per block
     i = 0
     while i < len(index):
-        here = [ids_j[i] for ids_j in coords]
-        operands: list[TransTuple | None] = [None] * k
-        i += 1
-        for row, bound in binds:
-            key = 0
-            cids = []
-            for j, srow, lop in bound:
-                h = here[j]
-                c = srow[h]
-                if c < 0:
-                    g = operands[j]
-                    if g is None:
-                        g = operands[j] = _tuple((_fn(components[j][h]),))
-                    srow[h] = c = intern(j, tuple_compose(lop, g).components[0].images)
-                key = key * radix + c
-                cids.append(c)
-            sid = index.get(key)
-            if sid is None:
-                sid = number(key, cids)
-            row.append(sid)
-    return tuple(map(tuple, components)), tuple(map(tuple, coords)), tuple(map(tuple, grow))
+        end = min(len(index), i + span)
+        parts = [coord[i:end] for coord in coords]
+        # (position, coordinate, id) of each component first seen in the block; ids first
+        # appear in increasing order, so each position is searched from the one before
+        firsts = []
+        for j, (coord, part) in enumerate(zip(coords, parts)):
+            top = max(part) + 1
+            p = i
+            for c in range(filled[j], top):
+                p = coord.index(c, p, end)
+                firsts.append((p, j, c))
+            filled[j] = max(filled[j], top)
+            if tables[j] and top > len(tables[j][0]):
+                pad = [-1] * (top + top // 8 + 64 - len(tables[j][0]))
+                for srow, _, _ in bound_of[j].values():
+                    srow.extend(pad)
+        firsts.sort()
+        try:
+            for p, group in itertools.groupby(firsts, operator.itemgetter(0)):
+                operands = [(j, c, _tuple((_fn(components[j][c]),))) for _, j, c in group]
+                for li, bound in enumerate(binds):
+                    for j, c, g in operands:
+                        srow, lop, scale = bound[j]
+                        if srow[c] < 0:
+                            cid = intern(j, tuple_compose(lop, g).components[0].images)
+                            # a scale-1 id is stored itself, not a copy
+                            srow[c] = cid * scale if scale > 1 else cid
+        except CapExceeded:
+            # the pairs before the refused one (tuple p, letter li) come first
+            number(itertools.islice(successor_keys(parts), (p - i) * len(letters) + li))
+            raise
+        keys = list(successor_keys(parts))
+        number(keys)
+        targets.extend(map(index.__getitem__, keys))
+        i = end
+    rows = tuple(tuple(targets[li :: len(letters)]) for li in range(len(letters)))
+    return tuple(map(tuple, components)), tuple(map(tuple, coords)), rows
 
 
 def _final_states(

@@ -148,6 +148,16 @@ class TestAccepts:
             accepts(FIG1, ["c"])
         with pytest.raises(ValueError, match=r"^unknown letter 'z'$"):
             FIG1.row("z")
+        with pytest.raises(ValueError, match=r"^unknown letter 'z'$"):
+            accepts(FIG1, ["a", "z"])
+
+    def test_letter_index_is_not_part_of_the_value(self):
+        # the index accepts builds once per automaton changes neither equality, hash nor the document
+        fresh = parse_dfa(FIG1_DOC)
+        assert accepts(FIG1, ["a", "b"]) and FIG1.letter_index("b") == 1
+        assert FIG1 == fresh and hash(FIG1) == hash(fresh)
+        assert print_dfa(FIG1) == print_dfa(fresh) == FIG1_DOC
+        assert "_letter_ids" not in repr(FIG1)
 
 
 class TestAccessiblePart:

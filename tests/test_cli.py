@@ -301,6 +301,13 @@ class TestSc:
         assert captured.out == ""
         assert captured.err == "error: more than 10000 stored images\n"
 
+    def test_state_cap_refuses_before_a_later_image_cap(self, capsys):
+        # 9 images per component: the 101st tuple is numbered before 1000 images are stored
+        assert main(["--max-states", "100", "sc", "--wheel", "1", "--sizes", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 100 reachable tuples\n"
+
     def test_bad_sizes(self, capsys):
         assert main(["sc", "--wheel", "1", "--sizes", "5..2"]) == 2
 

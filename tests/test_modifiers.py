@@ -1,6 +1,7 @@
 """Tests for modifiers, standardization, composition and standard builds."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -488,16 +489,31 @@ class TestEngineAgainstNaiveSearch:
     @example(((4,), monster_letters((4,)), False))
     @example(((2, 4), monster_letters((2, 4)), False))
     @example(((1, 4), monster_letters((1, 4)) * 2, True))
-    def test_same_components_coords_and_rows(self, case):
+    # a block interns components of successors past the cap: over 301 on the 9-point coordinate
+    @example(((2, 9), monster_letters((2, 9)), False))
+    # a block of 7 pairs puts block boundaries everywhere, the refusal at the cap mid-block included
+    @pytest.mark.parametrize("block", [modifiers.BLOCK_PAIRS, 7], ids=["real-block", "block-7"])
+    def test_same_components_coords_and_rows(self, block, case):
         sizes, letters, full = case
         starts = list(all_tuples(sizes)) if full else [tuple_identity(sizes)]
-        want = naive_accessible(letters, starts, self.CAP)
+        with mock.patch.object(modifiers, "BLOCK_PAIRS", block):
+            self.check(sizes, letters, starts, self.CAP)
+
+    def test_many_blocks(self):
+        # wheel-2 generator letters on 3x4: 6,912 tuples x 6 letters, several blocks of BLOCK_PAIRS
+        letters = monster_letters((3, 4))
+        assert 6912 * len(letters) > 4 * modifiers.BLOCK_PAIRS
+        self.check((3, 4), letters, [tuple_identity((3, 4))], 10**4)
+
+    @staticmethod
+    def check(sizes, letters, starts, cap):
+        want = naive_accessible(letters, starts, cap)
         if want is None:
-            with pytest.raises(CapExceeded, match=f"^more than {self.CAP} reachable tuples$"):
-                modifiers.accessible_tuples(letters, starts, self.CAP)
+            with pytest.raises(CapExceeded, match=f"^more than {cap} reachable tuples$"):
+                modifiers.accessible_tuples(letters, starts, cap)
             return
         order, rows = want
-        components, coords, got_rows = modifiers.accessible_tuples(letters, starts, self.CAP)
+        components, coords, got_rows = modifiers.accessible_tuples(letters, starts, cap)
         # components are interned in order of first appearance over the numbered tuples
         want_components = tuple(
             tuple(dict.fromkeys(t.components[j].images for t in order)) for j in range(len(sizes))
@@ -532,6 +548,13 @@ class TestCapsAndErrors:
         assert build(100) == size
         with pytest.raises(CapExceeded, match=r"^19 tuples x 27 letters exceed the cap of 500 transitions$"):
             build(50)
+
+    @pytest.mark.parametrize("cap", [100, 1000])
+    def test_state_cap_before_a_later_image_cap(self, cap):
+        # 9 images per component: the tuple past the cap is numbered before 10 x cap images are
+        # stored, though the block that numbers it holds later pairs that would pass that
+        with pytest.raises(CapExceeded, match=f"^more than {cap} reachable tuples$"):
+            modifiers.accessible_tuples(monster_letters((9,)), [tuple_identity((9,))], cap)
 
     def test_transition_cap_counts_letters_before_any_state(self):
         m3 = monster(MonsterSpec((3,), "full"))
