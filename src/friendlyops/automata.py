@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -442,10 +442,39 @@ def to_dot(d: Dfa) -> str:
 
 
 def words_up_to(alphabet: Iterable[str], max_len: int) -> Iterable[tuple[str, ...]]:
-    """All words up to the given length, in length-then-lex order."""
+    """All words up to the given length, in length-then-lex order.
+
+    With no letters the empty word is the only word, so the walk stops
+    after it whatever ``max_len`` is.
+    """
     letters = tuple(alphabet)
-    for length in range(max_len + 1):
+    for length in range(max_len + 1 if letters else 1):
         yield from itertools.product(letters, repeat=length)
+
+
+def accepts_up_to(d: Dfa, max_len: int) -> Iterator[bool]:
+    """``accepts(d, w)`` for every word w of ``words_up_to(d.alphabet, max_len)``, in that order.
+
+    The walk keeps the states of one length at a time.  The words of
+    length l are each word of length l - 1 in turn, followed by each letter
+    in alphabet order, so the next level lists each state's successors
+    under every letter, state after state, and is made at C speed.  With
+    no letters the walk stops after the empty word.
+
+    Memory: the largest level holds one state per word of length
+    ``max_len``.  The ``oracle`` command admits a ``max_len`` only if all
+    its words number at most its word cap (10 per allowed state, the bound
+    the transition cap puts on a build's rows), so no level it walks holds
+    more states than that.
+    """
+    is_final = d.finals.__contains__
+    level = [d.initial]
+    for _ in range(max_len):
+        yield from map(is_final, level)
+        level = list(itertools.chain.from_iterable(zip(*(map(row.__getitem__, level) for row in d.trans))))
+        if not level:
+            return
+    yield from map(is_final, level)
 
 
 def words_within(n_letters: int, max_len: int, cap: int) -> int | None:

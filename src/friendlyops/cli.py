@@ -18,6 +18,7 @@ from .automata import (
     Dfa,
     _is_nat,
     accepts,
+    accepts_up_to,
     equivalent,
     minimize,
     parse_dfa,
@@ -161,8 +162,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if words_within(len(build.alphabet), args.maxlen, work) is None:
         raise CapExceeded(f"more than {work} words up to length {args.maxlen}")
     memo: dict = {}
-    for word in words_up_to(build.alphabet, args.maxlen):
-        if accepts(build, word) != word_oracle(pred, dfas, word, memo=memo):
+    for word, built in zip(words_up_to(build.alphabet, args.maxlen), accepts_up_to(build, args.maxlen)):
+        if built != word_oracle(pred, dfas, word, memo=memo):
             print("disagreement on word: " + " ".join(word))
             return 1
     print(f"agreement on all words up to length {args.maxlen}")

@@ -336,35 +336,49 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str], *, m
     images of their rows; the folded maps become one ``TransTuple`` only
     for ``char_tuple``.
 
+    Letters are read through the index that the first automaton keeps
+    (``Dfa._letter_ids``, as ``accepts`` does); ``shared_alphabet`` first
+    checks that every input reads the same alphabet, so that index fits
+    them all.
+
     ``memo`` maps each folded key met so far (one image tuple per input)
     to its record ``[succ_0, ..., succ_{L-1}, key, verdict]``: one slot per
     letter index for the record of the map one letter further on, then the
     key, then the verdict, each ``None`` until first needed.  A word starts
     at the identity map's record and follows successor references; only a
-    missing successor is folded, once.  So, across the calls that share a
-    memo, the fold runs once per (distinct folded map, letter) and
-    ``char_tuple`` once per distinct folded map.  Without a memo the call
-    uses a fresh one of its own.  The arity, alphabet and letter checks run
-    on every call before the memo is read, so every refusal is raised
-    whatever the memo holds and leaves it unchanged.  A memo belongs to
-    exactly one ``(pred, dfas)`` pair.  Each key is a state of the
-    accessible standard build of that pair, so the memo holds at most that
-    build's number of states, each with at most one successor per letter.
+    missing successor is folded, once.  The identity map's record is made
+    before any step, so it is the first record a memo ever receives, and a
+    non-empty memo's first record (dicts keep insertion order) is the
+    start; the identity key is built only for an empty memo.  So, across
+    the calls that share a memo, the fold runs once per (distinct folded
+    map, letter) and ``char_tuple`` once per distinct folded map.  Without
+    a memo the call uses a fresh one of its own.  The arity, alphabet and
+    letter checks run on every call before the memo is read, so every
+    refusal is raised whatever the memo holds and leaves it unchanged.  A
+    memo belongs to exactly one ``(pred, dfas)`` pair.  Each key is a state
+    of the accessible standard build of that pair, so the memo holds at
+    most that build's number of states, each with at most one successor
+    per letter.
     """
     if pred.arity != len(dfas):
         raise ValueError(f"arity mismatch: {len(dfas)} automata, predicate needs {pred.arity}")
-    index = {tok: li for li, tok in enumerate(shared_alphabet(dfas))}
+    shared_alphabet(dfas)
+    index = dfas[0]._letter_ids
     letters = list(map(index.get, word))
     if None in letters:
         raise ValueError(f"unknown letter {word[letters.index(None)]!r}")
+    n_letters = len(index)
     if memo is None:
         memo = {}
-    rec = _record(memo, tuple(tuple(range(d.n_states)) for d in dfas), len(index))
+    if memo:
+        rec = next(iter(memo.values()))
+    else:
+        rec = _record(memo, tuple(tuple(range(d.n_states)) for d in dfas), n_letters)
     for li in letters:
         succ = rec[li]
         if succ is None:
             key = tuple(tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, rec[-2]))
-            succ = rec[li] = _record(memo, key, len(index))
+            succ = rec[li] = _record(memo, key, n_letters)
         rec = succ
     if rec[-1] is None:
         ft = TransTuple(tuple(map(TransFn, rec[-2])))

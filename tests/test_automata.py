@@ -23,7 +23,7 @@ from friendlyops import (
     to_dot,
     wheel_builtin,
 )
-from friendlyops.automata import _hopcroft_partition, nerode_partition, words_up_to, words_within
+from friendlyops.automata import _hopcroft_partition, accepts_up_to, nerode_partition, words_up_to, words_within
 from friendlyops.errors import ParseError
 from friendlyops.experiments import random_dfa
 from friendlyops.upseq import UPSeq, upseq_to_unary_dfa
@@ -412,3 +412,26 @@ class TestWordsWithin:
         assert words_within(1, 10**7 - 1, 10**7) == 10**7
         assert words_within(0, 10**18, 1) == 1
         assert words_within(2, 10**18, 10**7) is None
+
+
+class TestAcceptsUpTo:
+    """The level walk, with ``accepts`` on each word of ``words_up_to`` as the reference."""
+
+    def test_matches_accepts_word_by_word(self):
+        rng = random.Random(18)
+        for case in range(36):
+            alphabet = ("", "a", "abc")[case % 3]
+            # states n .. n + extra - 1 are never a successor, so they are unreachable
+            n, extra = rng.randint(2, 4), rng.randint(1, 2)
+            rows = tuple(tuple(rng.randrange(n) for _ in range(n + extra)) for _ in alphabet)
+            finals = frozenset(q for q in range(n + extra) if rng.random() < 0.5)
+            d = Dfa(tuple(alphabet), n + extra, rng.randrange(1, n), finals, rows)
+            for max_len in range(7):
+                want = [accepts(d, w) for w in words_up_to(d.alphabet, max_len)]
+                assert list(accepts_up_to(d, max_len)) == want, (d, max_len)
+
+    def test_no_letters_stop_after_the_empty_word(self):
+        d = Dfa((), 2, 1, frozenset({1}), ())
+        assert list(words_up_to((), 10**18)) == [()]
+        assert list(accepts_up_to(d, 10**18)) == [True]
+        assert list(accepts_up_to(Dfa((), 1, 0, frozenset(), ()), 10**18)) == [False]

@@ -183,6 +183,23 @@ class TestOracle:
         assert capsys.readouterr().out == "agreement on all words up to length 5\n"
         assert len(walked) == 63  # 1 + 2 + 4 + 8 + 16 + 32 words over two letters
 
+    def test_one_flipped_word_is_the_one_named(self, fig1_path, capsys, monkeypatch):
+        # a word in the middle of length 4: the build's verdicts must line up with the words
+        oracle, flipped = cli.word_oracle, ("b", "a", "a", "a")
+
+        def flip_one(pred, dfas, word, **kw):
+            return oracle(pred, dfas, word, **kw) != (tuple(word) == flipped)
+
+        monkeypatch.setattr(cli, "word_oracle", flip_one)
+        assert main(["oracle", "--expr", "Root(L1)", "--dfa", fig1_path, "--maxlen", "6"]) == 1
+        assert capsys.readouterr().out == "disagreement on word: b a a a\n"
+
+    def test_empty_alphabet_admits_any_maxlen(self, tmp_path, capsys):
+        path = tmp_path / "empty.dfa"
+        path.write_text("dfa v1\nalphabet\nstates 2\ninitial 1\nfinal 1\n")
+        assert main(["oracle", "--expr", "L1", "--dfa", str(path), "--maxlen", "1000000000"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 1000000000\n"
+
     def test_word_cap_refuses_a_huge_maxlen(self, fig1_path, capsys):
         assert main(["oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen", "1000000000"]) == 3
         captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from friendlyops import (
     And,
     Arg,
     Compiled,
+    Dfa,
     Explicit,
     Not,
     Or,
@@ -340,6 +341,41 @@ class TestWarmMemo:
         size = len(memo)
         assert [word_oracle(self.PRED, self.DFAS, w, memo=memo) for w in words] == want
         assert len(memo) == size
+
+
+ONE_STATE = Dfa(("a",), 1, 0, frozenset({0}), ((0,),))
+
+
+class TestMemoStart:
+    """A memo's first record is the identity map's, where every word starts."""
+
+    PRED = Compiled(parse_expr("Root(L1) & root[2](L2)"))
+
+    @pytest.mark.parametrize("first", [(), ("b", "a", "b", "b")], ids=["empty", "longer"])
+    def test_first_key_is_the_identity(self, first):
+        memo = {}
+        word_oracle(self.PRED, (FIG1, FIG2), first, memo=memo)
+        identity = ((0, 1), (0, 1, 2, 3))
+        assert next(iter(memo)) == identity
+        for w in words_up_to(FIG1.alphabet, 4):
+            word_oracle(self.PRED, (FIG1, FIG2), w, memo=memo)
+        assert next(iter(memo)) == identity and len(memo) > 1
+
+    @pytest.mark.parametrize("text, dfas", [
+        ("Root(L1) ^ root[2](L1)", (FIG1,)),
+        ("Root(L1) ^ root[2](L1)", (FIG2,)),
+        ("Root(L1) & root[2](L2)", (FIG1, FIG2)),
+        ("Root(L1) ^ root[2](L1)", (ONE_STATE,)),
+    ], ids=["fig1", "fig2", "fig1-fig2", "one-state"])
+    def test_warm_memo_gives_the_fresh_verdicts(self, text, dfas):
+        pred = Compiled(parse_expr(text))
+        words = list(words_up_to(dfas[0].alphabet, 6))
+        memo = {}
+        # warmed longest word first, so the first call already steps
+        for w in reversed(words):
+            word_oracle(pred, dfas, w, memo=memo)
+        fresh = [word_oracle(pred, dfas, w, memo=None) for w in words]
+        assert [word_oracle(pred, dfas, w, memo=memo) for w in words] == fresh
 
 
 class TestInjectivityProbe:
