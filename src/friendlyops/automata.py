@@ -161,12 +161,14 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
     and it always joins the worklist (if the old id was queued, the larger
     part stays queued under it).
 
-    Predecessors are stored flat, one counting sort per letter: the states
-    with a transition into t under letter li are ``src[off[t]:off[t + 1]]``
-    for ``src, off = pre[li]``, where ``src`` lists the states by target
-    (ascending within a target) and ``off`` holds n + 1 offsets.  Both are
-    lists of references to one shared set of int objects, so the relation
-    costs 8 bytes per transition plus 8 per state and letter.
+    Predecessors are stored flat, per letter: the states with a transition
+    into t under letter li are ``src[off[t]:off[t + 1]]`` for ``src, off =
+    pre[li]``.  ``off`` holds n + 1 offsets, the running sums of a count of
+    sources per target.  ``src`` lists the states by target, ascending
+    within a target, as a stable comparison sort keyed by target leaves
+    them.  Both are lists of references to one shared set of int objects,
+    so the relation costs 8 bytes per transition plus 8 per state and
+    letter.
     """
     n = d.n_states
     ids = list(range(n + 1))  # every list below points into these int objects

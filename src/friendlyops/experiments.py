@@ -92,11 +92,19 @@ _SQRT_EXPR = RootM(2, Arg(1))
 
 
 def predicted_sc(pred: EPredicate, sizes: Sequence[int]) -> int | None:
-    """Closed-form worst case on monsters, for the predicates that have one."""
+    """Closed-form worst case on monsters, for the predicates that have one.
+
+    A closed form is claimed only where the monster is a witness.  A
+    monster coordinate of size 1 accepts every word, so its characteristic
+    sequence is the constant (1) and ``wheel k``, k >= 2, holds on no
+    tuple: those sizes get None.
+    """
     if isinstance(pred, Compiled) and isinstance(pred.expr, Wheel):
         if pred.arity == 1:
             n = sizes[0]
             return n**n - n + 1
+        if 1 in sizes:
+            return None
         return prod(n**n for n in sizes)
     if isinstance(pred, Compiled) and pred.expr == _SQRT_EXPR:
         n = sizes[0]

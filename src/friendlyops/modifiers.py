@@ -350,10 +350,13 @@ def accessible_tuples(
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
     many images stored across the interned components raise CapExceeded.
-    The refusal is the one a search of one (tuple, letter) pair at a time
-    would meet first: before a component that passes the stored-images
-    cap is refused, the successors of the pairs before its pair are
-    numbered, and that numbering may refuse first.
+    Every start's components are interned before any start is numbered.
+    Callers keep their starts within the state and transition caps, so
+    the stored-images cap is the only refusal the starts can meet.  Past
+    the starts, the refusal is the one a search of one (tuple, letter)
+    pair at a time would meet first: before a component that passes the
+    stored-images cap is refused, the successors of the pairs before its
+    pair are numbered, and that numbering may refuse first.
     """
     starts = iter(starts)
     first = next(starts)
@@ -373,25 +376,18 @@ def accessible_tuples(
     radices = [tuple_space_within((n,), max_states) or max_states + 1 for n in first.sizes]
     scales = [prod(radices[j + 1 :]) for j in range(k)]
     # Per distinct letter component of coordinate j: (successor row, the component as a
-    # one-component operand, scale).  row[c] is scale times the id of the letter component o
+    # one-component operand).  row[c] is scales[j] times the id of the letter component o
     # component c, -1 until composed.
-    bound_of: list[dict[tuple[int, ...], tuple[list[int], TransTuple, int]]] = [{} for _ in range(k)]
-    # tables[j][li]: the successor row of letter li on coordinate j.  The rows of a coordinate
-    # are all of one length, at least filled[j]; they grow in bulk, padded with -1.
-    tables: list[list[list[int]]] = [[] for _ in range(k)]
-    # Per letter: its triple on each coordinate.
+    bound_of: list[dict[tuple[int, ...], tuple[list[int], TransTuple]]] = [{} for _ in range(k)]
+    # Per letter: its pair on each coordinate.
     binds = []
     for lt in letters:
         if lt.k != k:
             raise ValueError(f"shape mismatch: {lt.sizes} vs {first.sizes}")
-        bound = []
-        for j, f in enumerate(lt.components):
-            b = bound_of[j].get(f.images)
-            if b is None:
-                b = bound_of[j][f.images] = ([], _tuple((f,)), scales[j])
-            tables[j].append(b[0])
-            bound.append(b)
-        binds.append(tuple(bound))
+        binds.append(tuple(b.setdefault(f.images, ([], _tuple((f,)))) for b, f in zip(bound_of, lt.components)))
+    # tables[j][li]: the successor row of letter li on coordinate j.  The rows of a coordinate
+    # are all of one length, at least filled[j]; they grow in bulk, padded with -1.
+    tables = [[bound[j][0] for bound in binds] for j in range(k)]
 
     work = TRANSITIONS_PER_STATE * max_states
     stored = 0
@@ -439,14 +435,10 @@ def accessible_tuples(
             keys = map(map, itertools.repeat(operator.add), keys, more)
         return itertools.chain.from_iterable(keys)
 
-    start_keys: list[int] = []
-    try:
-        for t in itertools.chain((first,), starts):
-            start_keys.append(sum(intern(j, f.images) * scales[j] for j, f in enumerate(t.components)))
-    except CapExceeded:
-        number(start_keys)  # the starts before the refused one come first
-        raise
-    number(start_keys)
+    number(
+        sum(intern(j, f.images) * scales[j] for j, f in enumerate(t.components))
+        for t in itertools.chain((first,), starts)
+    )
     filled = [0] * k  # per coordinate: the components whose slots are filled
     span = max(1, BLOCK_PAIRS // max(len(letters), 1))  # tuples per block
     i = 0
@@ -465,15 +457,15 @@ def accessible_tuples(
             filled[j] = max(filled[j], top)
             if tables[j] and top > len(tables[j][0]):
                 pad = [-1] * (top + top // 8 + 64 - len(tables[j][0]))
-                for srow, _, _ in bound_of[j].values():
+                for srow, _ in bound_of[j].values():
                     srow.extend(pad)
         firsts.sort()
         try:
             for p, group in itertools.groupby(firsts, operator.itemgetter(0)):
-                operands = [(j, c, _tuple((_fn(components[j][c]),))) for _, j, c in group]
+                operands = [(j, c, _tuple((_fn(components[j][c]),)), scales[j]) for _, j, c in group]
                 for li, bound in enumerate(binds):
-                    for j, c, g in operands:
-                        srow, lop, scale = bound[j]
+                    for j, c, g, scale in operands:
+                        srow, lop = bound[j]
                         if srow[c] < 0:
                             cid = intern(j, tuple_compose(lop, g).components[0].images)
                             # a scale-1 id is stored itself, not a copy

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from conftest import FIG1, FIG1_DOC, FIG2, FIG3, canon
 
-from friendlyops import cli, equivalent, experiments, parse_dfa, print_dfa
+from friendlyops import Dfa, cli, equivalent, experiments, parse_dfa, print_dfa
 from friendlyops.cli import main
 
 
@@ -63,6 +63,16 @@ class TestBuild:
 
     def test_cap_exit_code(self, fig1_path):
         assert main(["--max-states", "3", "build", "--wheel", "1", "--dfa", fig1_path]) == 3
+
+    def test_image_cap_refuses_the_start_tuple(self, tmp_path, capsys):
+        # the identity of a 300-state cycle stores 300 images, past 10 x 10
+        path = tmp_path / "cycle.dfa"
+        cycle = Dfa(("a",), 300, 0, frozenset({299}), (tuple((q + 1) % 300 for q in range(300)),))
+        path.write_text(print_dfa(cycle))
+        assert main(["--max-states", "10", "build", "--wheel", "1", "--dfa", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: more than 100 stored images\n"
 
     def test_deterministic_output(self, fig1_path, tmp_path):
         out1, out2 = tmp_path / "r1.dfa", tmp_path / "r2.dfa"
@@ -243,6 +253,8 @@ class TestSc:
                 "wheel 1,5,3121,3121,true",
             ]),
             (["sc", "--wheel", "2", "--sizes", "2x3"], ["wheel 2,2x3,108,108,true"]),
+            # a size-1 coordinate accepts every word, so the monster is no witness: no prediction
+            (["sc", "--wheel", "2", "--sizes", "2x1"], ["wheel 2,2x1,1,,"]),
             (["sc", "--wheel", "3", "--sizes", "2x2x3"], ["wheel 3,2x2x3,432,432,true"]),
             (["sc", "--wheel", "1", "--kind", "full", "--sizes", "3"], ["wheel 1,3,25,25,true"]),
             (["sc", "--eset", str(eset), "--sizes", "2..3"], ["eset-k1-m1,2,3,,", "eset-k1-m1,3,6,,"]),
@@ -347,9 +359,9 @@ class TestSc:
         assert "invalid integer" in capsys.readouterr().err
 
     def test_size_one_coordinates_share_one_letter_under_the_smallest_cap(self, capsys):
-        # one identity letter of 4 images: within 10 x 1
+        # one identity letter of 4 images: within 10 x 1; size-1 coordinates make no witness, so no prediction
         assert main(["--max-states", "1", "sc", "--wheel", "4", "--sizes", "1x1x1x1"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "wheel 4,1x1x1x1,1,1,true"
+        assert capsys.readouterr().out.splitlines()[1] == "wheel 4,1x1x1x1,1,,"
 
     def test_every_entry_is_checked_before_the_first_build(self, capsys):
         # size 4 would pass the cap of 30 states, but the bad entry after it is found first

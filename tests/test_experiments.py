@@ -7,6 +7,7 @@ from conftest import FIG1
 
 from friendlyops import (
     Compiled,
+    Dfa,
     ScRow,
     distinguishability_audit,
     gst_class_audit,
@@ -17,6 +18,7 @@ from friendlyops import (
     unary_bound_audit,
     wheel_builtin,
 )
+from friendlyops import experiments
 from friendlyops.experiments import pred_name, random_dfa
 
 
@@ -31,6 +33,11 @@ class TestPredicted:
     def test_unknown_operations_report_measured_only(self):
         assert predicted_sc(Compiled(parse_expr("Root(L1)")), (3,)) is None
         assert predicted_sc(Compiled(parse_expr("root[3](L1)")), (3,)) is None
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 2, 2), (1, 1)])
+    def test_size_one_coordinate_is_no_witness(self, sizes):
+        # a size-1 coordinate accepts every word: wheel k, k >= 2, holds on no tuple there
+        assert predicted_sc(wheel_builtin(len(sizes)), sizes) is None
 
 
 class TestScOnWitness:
@@ -82,6 +89,14 @@ class TestUnaryBoundAudit:
     def test_size_three(self):
         report = unary_bound_audit(100, 3, seed=2)
         assert report.ok and report.max_sc <= 25
+
+    def test_violation_is_recorded_not_raised(self, monkeypatch):
+        four = Dfa(("a",), 4, 0, frozenset(), ((1, 2, 3, 0),))
+        monkeypatch.setattr(experiments, "minimize", lambda d: four)
+        report = unary_bound_audit(1, 2, seed=0)
+        assert not report.ok and report.max_sc == 4
+        (violation,) = report.violations
+        assert violation.startswith("trial 0: ") and violation.endswith(" reached 4 > 3")
 
 
 class TestGstClassAudit:

@@ -2,6 +2,7 @@
 
 import random
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from conftest import FIG1, FIG2
@@ -161,6 +162,14 @@ class TestEvalPred:
         chi = parse_char_tuple("(1" + "0" * 1008 + "),(1" + "0" * 1012 + ")")
         with pytest.raises(CapExceeded):
             eval_pred(Compiled(parse_expr("Root(L1 & L2)")), chi)
+
+    def test_unknown_expression_node(self):
+        with pytest.raises(TypeError, match="^not an expression node: "):
+            eval_expr(object(), parse_char_tuple("0(1)"))
+
+    def test_unknown_predicate(self):
+        with pytest.raises(TypeError, match="^not a predicate: "):
+            eval_pred(SimpleNamespace(arity=1), parse_char_tuple("0(1)"))
 
 
 class TestRootStarBound:

@@ -556,6 +556,12 @@ class TestCapsAndErrors:
         with pytest.raises(CapExceeded, match=f"^more than {cap} reachable tuples$"):
             modifiers.accessible_tuples(monster_letters((9,)), [tuple_identity((9,))], cap)
 
+    def test_image_cap_refuses_the_start_tuple(self):
+        # the identity of a 300-state cycle stores 300 images, past 10 x 10, before any tuple is numbered
+        cycle = Dfa(("a",), 300, 0, {299}, (tuple((q + 1) % 300 for q in range(300)),))
+        with pytest.raises(CapExceeded, match=r"^more than 100 stored images$"):
+            build_standard(wheel_builtin(1), (cycle,), max_states=10)
+
     def test_transition_cap_counts_letters_before_any_state(self):
         m3 = monster(MonsterSpec((3,), "full"))
         with pytest.raises(CapExceeded, match="1 tuples x 27 letters"):
