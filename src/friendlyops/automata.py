@@ -10,6 +10,7 @@ their canonical forms compare equal.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -101,30 +102,65 @@ def accepts(d: Dfa, word: Sequence[str]) -> bool:
     return q in d.finals
 
 
+def _dfa(
+    alphabet: tuple[str, ...],
+    n_states: int,
+    initial: int,
+    finals: frozenset[int],
+    trans: tuple[tuple[int, ...], ...],
+) -> Dfa:
+    """The Dfa of fields known to pass its check, with exactly its field types; unchecked.
+
+    For automata whose every value the package computed (a build, a
+    renumbering, a quotient), as ``transforms._fn`` is for maps; input
+    paths keep the checked ``Dfa``.
+    """
+    d = object.__new__(Dfa)
+    d.__dict__.update(alphabet=alphabet, n_states=n_states, initial=initial, finals=finals, trans=trans)
+    return d
+
+
 def accessible_part(d: Dfa) -> Dfa:
     """Restrict to states reachable from the initial one, BFS-renumbered.
 
     On a fully accessible automaton this is a pure canonical renumbering:
     states appear in breadth-first discovery order, letters scanned in
     alphabet order.  An automaton already in that order is returned as is.
+
+    The search runs a level at a time in C.  One ``itemgetter`` of the
+    level reads its images under each letter, and an extended slice puts
+    them in place, so the successors come state by state with letters in
+    order.  Those seen before are dropped and the rest keep their first
+    appearance (``dict.fromkeys``).  That is the order a search of one
+    state at a time discovers them in, since every state nearer the
+    initial one is seen before the level is expanded.  ``seen`` is a list
+    of flags: a ``bytearray`` would take a byte a state instead of 8, but
+    filters slower, its ``__getitem__`` being a slot wrapper.
     """
+    seen = [False] * d.n_states
+    seen[d.initial] = True
+    n_letters = len(d.trans)
     order = [d.initial]
-    index = [-1] * d.n_states
-    index[d.initial] = 0
-    i = 0
-    while i < len(order):
-        q = order[i]
-        i += 1
-        for row in d.trans:
-            t = row[q]
-            if index[t] < 0:
-                index[t] = len(order)
-                order.append(t)
-    if len(order) == d.n_states and all(map(int.__eq__, order, range(d.n_states))):
+    level = [d.initial]
+    while level:
+        get = operator.itemgetter(*level)
+        if len(level) == 1:  # the getter returns the image itself, not a tuple
+            successors = list(map(get, d.trans))
+        else:
+            successors = [0] * (n_letters * len(level))
+            for li, row in enumerate(d.trans):
+                successors[li::n_letters] = get(row)
+        level = list(dict.fromkeys(itertools.filterfalse(seen.__getitem__, successors)))
+        for t in level:
+            seen[t] = True
+        order += level
+    n = len(order)
+    if n == d.n_states and all(map(operator.eq, order, range(n))):
         return d
-    rows = tuple(tuple(index[row[q]] for q in order) for row in d.trans)
-    finals = frozenset(index[q] for q in d.finals if index[q] >= 0)
-    return Dfa(d.alphabet, len(order), 0, finals, rows)
+    index = dict(zip(order, range(n)))
+    rows = tuple(tuple(map(index.__getitem__, map(row.__getitem__, order))) for row in d.trans)
+    finals = frozenset(map(index.__getitem__, filter(index.__contains__, d.finals)))
+    return _dfa(d.alphabet, n, 0, finals, rows)
 
 
 def nerode_partition(d: Dfa) -> list[int]:
@@ -168,18 +204,24 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
     within a target, as a stable comparison sort keyed by target leaves
     them.  Both are lists of references to one shared set of int objects,
     so the relation costs 8 bytes per transition plus 8 per state and
-    letter.
+    letter.  A letter that permutes the states needs no count: its row
+    sends each ``src[t]`` to t, and its offsets are the shared list of
+    ids itself, so it costs no list of offsets of its own.
     """
     n = d.n_states
     ids = list(range(n + 1))  # every list below points into these int objects
     states = ids[:n]
     pre: list[tuple[list[int], list[int]]] = []
     for row in d.trans:
-        counts = [0] * n
-        for t in row:
-            counts[t] += 1
-        off = list(map(ids.__getitem__, itertools.accumulate(counts, initial=0)))
-        pre.append((sorted(states, key=row.__getitem__), off))
+        src = sorted(states, key=row.__getitem__)
+        if all(map(operator.eq, map(row.__getitem__, src), states)):
+            off = ids  # a permutation: target t has the one source src[t]
+        else:
+            counts = [0] * n
+            for t in row:
+                counts[t] += 1
+            off = list(map(ids.__getitem__, itertools.accumulate(counts, initial=0)))
+        pre.append((src, off))
 
     finals = d.finals
     elems = [q for q in range(n) if q in finals] + [q for q in range(n) if q not in finals]
@@ -266,7 +308,7 @@ def minimize(d: Dfa, algo: str = "hopcroft") -> Dfa:
     # is no later and lands in the same class.
     rows = tuple(tuple(cls[row[rep]] for rep in reps) for row in h.trans)
     finals = frozenset(c for c, rep in enumerate(reps) if rep in h.finals)
-    return Dfa(h.alphabet, len(reps), cls[h.initial], finals, rows)
+    return _dfa(h.alphabet, len(reps), cls[h.initial], finals, rows)
 
 
 def _with_alphabet_order(d: Dfa, order: tuple[str, ...]) -> Dfa:

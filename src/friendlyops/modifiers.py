@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .automata import Dfa
+from .automata import Dfa, _dfa
 from .errors import CapExceeded
 from .friendly import EPredicate, eval_pred
 from .transforms import (
@@ -46,7 +46,8 @@ from .transforms import (
     tuple_space_within,
     tuple_unrank,
 )
-from .upseq import CharTuple, char_tuple
+# Nothing here calls char_tuple; perfbench's tracer patches the name (ROADMAP item 1).
+from .upseq import CharTuple, UPSeq, _bits, char_tuple  # noqa: F401
 
 DEFAULT_MAX_STATES = 10**6
 # A build may perform this many transitions (states times letters) per state of its cap.
@@ -341,11 +342,14 @@ def accessible_tuples(
     table slots a block misses are those of the components that first
     appear in it; they are filled first, in (tuple, letter, coordinate)
     order.  Then every successor of the block is keyed by its component ids
-    in mixed radix (the tables hold the ids pre-scaled), the keys not seen
-    before are numbered in (tuple, letter) order, and the successors'
-    numbers join one list of transitions in that order, which is cut into
-    the rows at the end.  All of this but the fill runs in C, through
-    ``map``, ``dict.fromkeys`` and ``itertools``.
+    in mixed radix (the tables hold the ids pre-scaled): letter by letter,
+    one ``map`` per coordinate reads the block's successor ids there and
+    ``map(operator.add, ...)`` sums them, and ``zip`` interleaves the
+    letters' keys back into (tuple, letter) order.  The keys not seen
+    before are numbered in that order, and the successors' numbers join
+    one list of transitions in that order, which is cut into the rows at
+    the end.  All of this but the fill runs in C, through ``map``,
+    ``dict.fromkeys`` and ``itertools``.
 
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
@@ -425,15 +429,19 @@ def accessible_tuples(
             coord.extend(map(objs.__getitem__, map(operator.mod, digits, itertools.repeat(radix))))
 
     def successor_keys(parts: list[list[int]]) -> Iterator[int]:
-        """The successor keys of the tuples with component ids ``parts``, tuple by tuple, letters in order."""
-        # per coordinate and tuple: its scaled successor ids there, one per letter
-        per_coord = (
-            map(map, map(operator.itemgetter, part), itertools.repeat(row)) for part, row in zip(parts, tables)
-        )
-        keys = next(per_coord)
-        for more in per_coord:
-            keys = map(map, itertools.repeat(operator.add), keys, more)
-        return itertools.chain.from_iterable(keys)
+        """The successor keys of the tuples with component ids ``parts``, tuple by tuple, letters in order.
+
+        The keys are made letter by letter, each the sum over coordinates of
+        the letter's scaled successor ids there, and then interleaved.
+        """
+        per_letter = []
+        for li in range(len(letters)):
+            per_coord = [map(table[li].__getitem__, part) for part, table in zip(parts, tables)]
+            keys = per_coord[0]
+            for more in per_coord[1:]:
+                keys = map(operator.add, keys, more)
+            per_letter.append(keys)
+        return itertools.chain.from_iterable(zip(*per_letter))
 
     number(
         sum(intern(j, f.images) * scales[j] for j, f in enumerate(t.components))
@@ -490,36 +498,40 @@ def _final_states(
 ) -> frozenset[int]:
     """The states whose characteristic tuple satisfies ``pred``.
 
-    A state's characteristic tuple depends only on the orbit of each
-    coordinate's initial state under the state's component there, so the
-    orbit is read once per component id.  ``char_tuple`` runs once per
-    distinct combination of orbits, ``eval_pred`` once per distinct
-    characteristic tuple.
+    A state's characteristic tuple is, per coordinate, the sequence of the
+    orbit of the initial state under the state's component there: its
+    membership bits in the final set, the tail as prefix and the cycle as
+    period.  So each coordinate makes one sequence per distinct orbit class
+    (tail and bits), and numbers the distinct sequences.  A state's key is
+    its tuple of sequence numbers; sequences are canonical, so distinct keys
+    are distinct characteristic tuples, and ``eval_pred`` runs once per
+    distinct key.  The keys are read twice, at C speed, and never stored.
     """
-    orbits = []
+    seqs: list[list[UPSeq]] = []  # per coordinate: its distinct sequences, by number
+    seq_of: list[list[int]] = []  # per coordinate: the sequence number of each component id
     for comps, i, fs in zip(components, cfg.initials, cfg.finals):
-        seen: dict[tuple[int, tuple[bool, ...]], int] = {}
+        by_class: dict[tuple[int, tuple[bool, ...]], int] = {}
+        numbers: dict[UPSeq, int] = {}
         per_id = []
         for images in comps:
             tail, orbit = rho_walk(images, i)
-            per_id.append(seen.setdefault((tail, tuple(q in fs for q in orbit)), len(seen)))
-        orbits.append(per_id)
-    by_orbits: dict[tuple[int, ...], bool] = {}
-    by_chi: dict[CharTuple, bool] = {}
-    finals = []
-    keys = zip(*(map(o.__getitem__, ids_j) for o, ids_j in zip(orbits, coords)))
-    for sid, key in enumerate(keys):
-        hit = by_orbits.get(key)
-        if hit is None:
-            state = _tuple(tuple(_fn(comps[ids_j[sid]]) for comps, ids_j in zip(components, coords)))
-            chi = char_tuple(state, cfg.initials, cfg.finals)
-            hit = by_chi.get(chi)
-            if hit is None:
-                hit = by_chi[chi] = eval_pred(pred, chi)
-            by_orbits[key] = hit
-        if hit:
-            finals.append(sid)
-    return frozenset(finals)
+            bits = tuple(map(fs.__contains__, orbit))
+            sn = by_class.get((tail, bits))
+            if sn is None:
+                u = _bits(tuple(map(int, bits[:tail])), tuple(map(int, bits[tail:])))
+                sn = by_class[(tail, bits)] = numbers.setdefault(u, len(numbers))
+            per_id.append(sn)
+        seqs.append(list(numbers))
+        seq_of.append(per_id)
+
+    def keys() -> Iterator[tuple[int, ...]]:
+        return zip(*(map(per_id.__getitem__, ids_j) for per_id, ids_j in zip(seq_of, coords)))
+
+    verdict = {
+        key: eval_pred(pred, CharTuple(tuple(map(list.__getitem__, seqs, key))))
+        for key in dict.fromkeys(keys())
+    }
+    return frozenset(itertools.compress(itertools.count(), map(verdict.__getitem__, keys())))
 
 
 @dataclass(frozen=True)
@@ -581,7 +593,7 @@ def build_standard_detailed(
         starts, init = [tuple_identity(cfg.sizes)], 0
     components, coords, rows = accessible_tuples(letters, starts, max_states)
     finals = _final_states(pred, cfg, components, coords)
-    dfa = Dfa(alphabet, len(coords[0]), init, finals, rows)
+    dfa = _dfa(alphabet, len(coords[0]), init, finals, rows)
     return StandardBuild(dfa, components, coords)
 
 

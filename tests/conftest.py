@@ -9,6 +9,8 @@ library's minimization path.
 
 from __future__ import annotations
 
+import random
+
 from friendlyops import Dfa, accessible_part, accepts, minimize, print_dfa, words_up_to
 
 # Two states, initial 0, final 1; a swaps, b sends everything to 1.
@@ -85,3 +87,41 @@ def assert_minimize_agree(d: Dfa) -> Dfa:
     m = minimize(d, "moore")
     assert print_dfa(h) == print_dfa(m)
     return h
+
+
+def sparse_dfa(rng: random.Random, max_states: int = 40, max_letters: int = 3) -> Dfa:
+    """A random DFA of 1 to ``max_states`` states and 0 to ``max_letters`` letters.
+
+    With two states or more, the initial state is not 0, and states past
+    the first ``reach`` are no successor of any state, so they are unreachable.
+    """
+    n = rng.randint(1, max_states)
+    reach = rng.randint(max(1, n // 2), n)
+    letters = tuple("abc"[: rng.randint(0, max_letters)])
+    rows = tuple(tuple(rng.randrange(reach) for _ in range(n)) for _ in letters)
+    finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+    initial = rng.randrange(1, reach) if reach > 1 else (1 if n > 1 else 0)
+    return Dfa(letters, n, initial, finals, rows)
+
+
+def per_state_accessible_part(d: Dfa) -> Dfa:
+    """``accessible_part`` by a search of one state at a time: the reference for its level search."""
+    order, index = [d.initial], {d.initial: 0}
+    for q in order:
+        for row in d.trans:
+            if row[q] not in index:
+                index[row[q]] = len(order)
+                order.append(row[q])
+    rows = tuple(tuple(index[row[q]] for q in order) for row in d.trans)
+    return Dfa(d.alphabet, len(order), 0, frozenset(index[q] for q in d.finals if q in index), rows)
+
+
+def assert_passes_the_check(d: Dfa) -> None:
+    """``d`` is what the checked ``Dfa`` makes of its own fields, field types included."""
+    assert type(d) is Dfa
+    assert type(d.alphabet) is tuple and all(type(a) is str for a in d.alphabet)
+    assert type(d.n_states) is int and type(d.initial) is int
+    assert type(d.finals) is frozenset and all(type(q) is int for q in d.finals)
+    assert type(d.trans) is tuple
+    assert all(type(row) is tuple and all(type(t) is int for t in row) for row in d.trans)
+    assert Dfa(d.alphabet, d.n_states, d.initial, d.finals, d.trans) == d

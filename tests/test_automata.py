@@ -4,7 +4,17 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import FIG1, FIG1_DOC, FIG2, assert_minimize_agree, brute_equivalent, brute_min_states, canon
+from conftest import (
+    FIG1,
+    FIG1_DOC,
+    FIG2,
+    assert_minimize_agree,
+    brute_equivalent,
+    brute_min_states,
+    canon,
+    per_state_accessible_part,
+    sparse_dfa,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +200,35 @@ class TestAccessiblePart:
     def test_figure_square_root_all_reachable(self):
         assert accessible_part(FIG2).n_states == 4
 
+    def test_level_search_matches_a_per_state_search(self):
+        rng = random.Random(20)
+        shapes = set()
+        for _ in range(300):
+            d = sparse_dfa(rng)
+            got = accessible_part(d)
+            assert got == per_state_accessible_part(d), d
+            shapes.add((len(d.alphabet), d.initial > 0, got.n_states < d.n_states))
+        # every letter count, with and without a non-zero initial state and unreachable states
+        assert {(k, True, True) for k in range(4)} <= shapes
+
+    def test_one_state_levels_and_no_letters(self):
+        # a chain: every level holds one state, so the level getter returns bare images
+        chain = Dfa(("a",), 4, 3, {1}, ((0, 2, 0, 1),))  # 3 -> 1 -> 2 -> 0 -> 0
+        assert accessible_part(chain) == Dfa(("a",), 4, 0, {1}, ((1, 2, 3, 3),))
+        assert accessible_part(Dfa((), 3, 2, {0, 2}, ())) == Dfa((), 1, 0, {0}, ())
+
+    def test_accessible_builds_are_returned_as_is(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            dfas = [random_dfa(rng, rng.randint(1, 3), "ab"[: rng.randint(1, 2)])]
+            dfas.append(random_dfa(rng, rng.randint(1, 3), dfas[0].alphabet))
+            build = build_standard(wheel_builtin(2), dfas)
+            assert accessible_part(build) is build
+        for sizes in ((4,), (2, 3), (3, 3, 3)):
+            dfas = monster(MonsterSpec(sizes, "generators"))
+            build = build_standard(wheel_builtin(len(sizes)), dfas)
+            assert accessible_part(build) is build
+
 
 @st.composite
 def small_dfas(draw) -> Dfa:
@@ -250,6 +289,24 @@ class TestMinimize:
             elif i % 10 == 5:
                 d = Dfa(d.alphabet, n, d.initial, frozenset(range(n)), d.trans)
             assert assert_minimize_agree(d).n_states <= n
+
+    def test_agrees_with_moore_with_permutation_letters(self):
+        # permutation rows share the ids list as offsets; a row that is one image off a permutation must not
+        rng = random.Random(4)
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            rows = []
+            for kind in rng.choices(("perm", "near", "random"), k=rng.randint(1, 4)):
+                row = list(range(n))
+                rng.shuffle(row)
+                if kind == "near":
+                    row[rng.randrange(n)] = row[rng.randrange(n)]
+                elif kind == "random":
+                    row = [rng.randrange(n) for _ in range(n)]
+                rows.append(tuple(row))
+            finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+            d = Dfa(tuple("abcd"[: len(rows)]), n, rng.randrange(n), finals, tuple(rows))
+            assert_minimize_agree(d)
 
     def test_unary_chain_keeps_every_state(self):
         assert assert_minimize_agree(_chain(300)).n_states == 300

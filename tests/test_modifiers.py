@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import FIG1, FIG2, FIG3, FIG5, brute_equivalent, canon
+from conftest import FIG1, FIG2, FIG3, FIG5, assert_passes_the_check, brute_equivalent, canon, sparse_dfa
 
 from friendlyops import (
     Compiled,
@@ -24,6 +24,7 @@ from friendlyops import (
     compl_mod,
     compose_mod,
     equivalent,
+    eval_pred,
     minimize,
     parse_expr,
     sc_on_witness,
@@ -368,8 +369,12 @@ class TestInternedBuild:
                 f = tuple_compose(letters[li], f)
             assert build.states[sid] == f
 
-    def test_one_char_tuple_per_distinct_orbit(self, monkeypatch):
-        calls = {"char_tuple": 0, "eval_pred": 0}
+    @pytest.mark.parametrize("pred, sizes, n_states, n_chis", [
+        (wheel_builtin(1), (4,), 256, 15),
+        (Compiled(parse_expr("Root(L1 & L2) | root[2](L3)")), (3, 3, 3), 19683, 512),
+    ], ids=["wheel1-4", "kary-3x3x3"])
+    def test_one_sequence_per_distinct_orbit_class(self, monkeypatch, pred, sizes, n_states, n_chis):
+        calls = {"_bits": 0, "char_tuple": 0, "eval_pred": 0}
 
         def counted(name):
             inner = getattr(modifiers, name)
@@ -382,23 +387,54 @@ class TestInternedBuild:
 
         for name in calls:
             monkeypatch.setattr(modifiers, name, counted(name))
-        dfas = monster(MonsterSpec((4,), "generators"))
-        build = build_standard_detailed(wheel_builtin(1), dfas)
-        d = dfas[0]
-        orbits = set()
-        for t in build.states:
-            tail, orbit = rho_walk(t.components[0].images, d.initial)
-            orbits.add((tail, tuple(q in d.finals for q in orbit)))
-        chis = {char_tuple(t, (d.initial,), (d.finals,)) for t in build.states}
-        assert build.dfa.n_states == 256
-        assert calls == {"char_tuple": len(orbits), "eval_pred": len(chis)}
-        assert len(chis) < len(orbits) < 256
+        dfas = monster(MonsterSpec(sizes, "generators"))
+        build = build_standard_detailed(pred, dfas)
+        monkeypatch.undo()
+        initials, finals = [d.initial for d in dfas], [d.finals for d in dfas]
+        classes = set()  # (coordinate, tail, membership bits of the orbit)
+        for j, d in enumerate(dfas):
+            for images in {t.components[j].images for t in build.states}:
+                tail, orbit = rho_walk(images, d.initial)
+                classes.add((j, tail, tuple(q in d.finals for q in orbit)))
+        chi_of = [char_tuple(t, initials, finals) for t in build.states]
+        verdict = {chi: eval_pred(pred, chi) for chi in chi_of}
+        assert build.dfa.n_states == n_states
+        assert len(verdict) == n_chis
+        assert calls == {"_bits": len(classes), "char_tuple": 0, "eval_pred": n_chis}
+        # the finals are the states whose characteristic tuple satisfies the predicate
+        assert build.dfa.finals == {s for s, chi in enumerate(chi_of) if verdict[chi]}
 
     def test_build_without_labels_assembles_no_tuples(self):
         build = build_standard_detailed(wheel_builtin(1), monster(MonsterSpec((3,), "generators")))
         assert "states" not in vars(build)
         assert len(build.states) == 27
         assert "states" in vars(build)
+
+
+class TestUncheckedAutomata:
+    """Builds, renumberings and quotients skip the ``Dfa`` check; each must pass it."""
+
+    @pytest.mark.parametrize("mode", ["accessible", "full"])
+    def test_builds(self, mode):
+        cases = reference_cases()
+        for sizes in ((4,), (2, 3)):
+            cases.append((wheel_builtin(len(sizes)), monster(MonsterSpec(sizes, "generators"))))
+        for pred, dfas in cases:
+            build = build_standard(pred, dfas, mode)
+            assert_passes_the_check(build)
+            assert_passes_the_check(accessible_part(build))
+            for algo in ("hopcroft", "moore"):
+                assert_passes_the_check(minimize(build, algo))
+
+    def test_renumberings_and_quotients_of_random_inputs(self):
+        rng = random.Random(22)
+        for _ in range(200):
+            d = sparse_dfa(rng)
+            part = accessible_part(d)
+            assert (part is d) == (d.n_states == 1)  # past one state, the initial state is not 0
+            assert_passes_the_check(part)
+            for algo in ("hopcroft", "moore"):
+                assert_passes_the_check(minimize(d, algo))
 
 
 class TestCompositionCount:
