@@ -46,7 +46,7 @@ from .transforms import (
     tuple_space_within,
     tuple_unrank,
 )
-# Nothing here calls char_tuple; perfbench's tracer patches the name (ROADMAP item 1).
+# Nothing here calls char_tuple; perfbench's tracer patches the name (ROADMAP item 2).
 from .upseq import CharTuple, UPSeq, _bits, char_tuple  # noqa: F401
 
 DEFAULT_MAX_STATES = 10**6
@@ -54,10 +54,16 @@ DEFAULT_MAX_STATES = 10**6
 TRANSITIONS_PER_STATE = 10
 # accessible_tuples expands numbered tuples in blocks of this many (tuple, letter) pairs,
 # rounded down to whole tuples.  A block holds one key per pair until it is numbered, at
-# most 160 kB here.  Larger blocks gained nothing measurable: on the 3x3x3 monster
-# (9 letters) a whole sc run took 0.31-0.33 s, with a peak RSS within 1% of the per-pair
-# search's, at every size from 1,024 to 65,536 pairs.
+# most 160 kB here unless the floor below applies.  Larger blocks gained nothing
+# measurable: on the 3x3x3 monster (9 letters) a whole sc run took 0.31-0.33 s, with a
+# peak RSS within 1% of the per-pair search's, at every size from 1,024 to 65,536 pairs.
 BLOCK_PAIRS = 4096
+# ...but a block holds at least this many tuples.  Keying makes one map per letter and
+# coordinate and one zip over all letters per block, so with one tuple a block (past 2,048
+# letters) that set-up is most of the work: on the full n=5 monster (3,125 letters) the
+# search took 65-92 s with one tuple a block and 29-49 s with 16 to 256 tuples, at the same
+# max RSS (2 vCPU Xeon, Python 3.11.7).  It changes nothing for up to 128 letters.
+MIN_BLOCK_TUPLES = 32
 
 # Per coordinate, the images of each distinct component, indexed by component id.
 Components = tuple[tuple[tuple[int, ...], ...], ...]
@@ -337,19 +343,19 @@ def accessible_tuples(
     component, so each distinct pair is composed once.
 
     The search expands a block of numbered tuples at a time:
-    ``BLOCK_PAIRS // len(letters)`` of them, at least one.  Components are
-    interned in order of first appearance over the numbered tuples, so the
-    table slots a block misses are those of the components that first
-    appear in it; they are filled first, in (tuple, letter, coordinate)
-    order.  Then every successor of the block is keyed by its component ids
-    in mixed radix (the tables hold the ids pre-scaled): letter by letter,
-    one ``map`` per coordinate reads the block's successor ids there and
-    ``map(operator.add, ...)`` sums them, and ``zip`` interleaves the
-    letters' keys back into (tuple, letter) order.  The keys not seen
-    before are numbered in that order, and the successors' numbers join
-    one list of transitions in that order, which is cut into the rows at
-    the end.  All of this but the fill runs in C, through ``map``,
-    ``dict.fromkeys`` and ``itertools``.
+    ``BLOCK_PAIRS // len(letters)`` of them, at least ``MIN_BLOCK_TUPLES``.
+    Components are interned in order of first appearance over the numbered
+    tuples, so the table slots a block misses are those of the components
+    that first appear in it; they are filled first, in (tuple, letter,
+    coordinate) order.  Then every successor of the block is keyed by its
+    component ids in mixed radix (the tables hold the ids pre-scaled):
+    letter by letter, one ``map`` per coordinate reads the block's successor
+    ids there and ``map(operator.add, ...)`` sums them, and ``zip``
+    interleaves the letters' keys back into (tuple, letter) order.  The
+    keys not seen before are numbered in that order, and the successors'
+    numbers join one list of transitions in that order, which is cut into
+    the rows at the end.  All of this but the fill runs in C, through
+    ``map``, ``dict.fromkeys`` and ``itertools``.
 
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
@@ -448,7 +454,7 @@ def accessible_tuples(
         for t in itertools.chain((first,), starts)
     )
     filled = [0] * k  # per coordinate: the components whose slots are filled
-    span = max(1, BLOCK_PAIRS // max(len(letters), 1))  # tuples per block
+    span = max(MIN_BLOCK_TUPLES, BLOCK_PAIRS // max(len(letters), 1))  # tuples per block
     i = 0
     while i < len(index):
         end = min(len(index), i + span)

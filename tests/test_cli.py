@@ -418,3 +418,37 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid integer '-" in captured.err
+
+
+class TestSharedParser:
+    """``main`` calls in one process share one parser and give what a fresh parser gives."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_sequence_match_a_fresh_parser(self, fig1_path, fig3_path, monkeypatch, capsys):
+        oracle = ["oracle", "--expr", "L1", "--dfa", fig1_path, "--maxlen", "5"]
+        calls = [
+            # two --dfa, then one: the appended list starts empty each time
+            ["oracle", "--expr", "L1 & !L2", "--dfa", fig1_path, "--dfa", fig3_path, "--maxlen", "3"],
+            oracle,
+            # a cap of 5 refuses 63 words, and the next call has the default cap again
+            ["--max-states", "5", *oracle],
+            oracle,
+            ["oracle", "--expr", "L1", "--maxlen", "3"],  # --dfa is required: usage error
+            ["-h"],
+            oracle,
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [run(argv) for argv in calls]
+        assert [code for code, _, _ in shared] == [0, 0, 3, 0, 2, 0, 0]
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert [run(argv) for argv in calls] == shared

@@ -527,12 +527,15 @@ class TestEngineAgainstNaiveSearch:
     @example(((1, 4), monster_letters((1, 4)) * 2, True))
     # a block interns components of successors past the cap: over 301 on the 9-point coordinate
     @example(((2, 9), monster_letters((2, 9)), False))
-    # a block of 7 pairs puts block boundaries everywhere, the refusal at the cap mid-block included
-    @pytest.mark.parametrize("block", [modifiers.BLOCK_PAIRS, 7], ids=["real-block", "block-7"])
-    def test_same_components_coords_and_rows(self, block, case):
+    # a block of 7 pairs (1 tuple at the least) puts block boundaries everywhere, the refusal at
+    # the cap mid-block included
+    @pytest.mark.parametrize("block, least", [(modifiers.BLOCK_PAIRS, modifiers.MIN_BLOCK_TUPLES), (7, 1)],
+                             ids=["real-block", "block-7"])
+    def test_same_components_coords_and_rows(self, block, least, case):
         sizes, letters, full = case
         starts = list(all_tuples(sizes)) if full else [tuple_identity(sizes)]
-        with mock.patch.object(modifiers, "BLOCK_PAIRS", block):
+        with mock.patch.object(modifiers, "BLOCK_PAIRS", block), \
+                mock.patch.object(modifiers, "MIN_BLOCK_TUPLES", least):
             self.check(sizes, letters, starts, self.CAP)
 
     def test_many_blocks(self):
