@@ -202,11 +202,17 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
     pre[li]``.  ``off`` holds n + 1 offsets, the running sums of a count of
     sources per target.  ``src`` lists the states by target, ascending
     within a target, as a stable comparison sort keyed by target leaves
-    them.  Both are lists of references to one shared set of int objects,
-    so the relation costs 8 bytes per transition plus 8 per state and
-    letter.  A letter that permutes the states needs no count: its row
-    sends each ``src[t]`` to t, and its offsets are the shared list of
-    ids itself, so it costs no list of offsets of its own.
+    them.  A letter that permutes the states needs no count: its row sends
+    each ``src[t]`` to t, and its offsets are the shared list of ids
+    itself, so it costs no list of offsets of its own.
+
+    Every int stored here, in the predecessor lists, ``elems``, ``loc``,
+    the split points and the block ids, is one of the objects of ``ids``
+    (n + 1 of them, 28 bytes each past 256), so every list costs 8 bytes a
+    slot: the relation takes 8 bytes per transition (``src``) plus, for a
+    letter that does not permute the states, 8 per state (``off``), that is
+    16 bytes per transition.  Making a new int for each number stored would
+    add 28 bytes for most of them.
     """
     n = d.n_states
     ids = list(range(n + 1))  # every list below points into these int objects
@@ -224,9 +230,9 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
         pre.append((src, off))
 
     finals = d.finals
-    elems = [q for q in range(n) if q in finals] + [q for q in range(n) if q not in finals]
+    elems = [q for q in states if q in finals] + [q for q in states if q not in finals]
     loc = [0] * n
-    for i, q in enumerate(elems):
+    for q, i in zip(elems, ids):
         loc[q] = i
     k = len(finals)
     block_of = [0] * n
@@ -259,7 +265,7 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
                         loc[r] = i
                         elems[m] = q
                         loc[q] = m
-                        marked[b] = m + 1
+                        marked[b] = ids[m + 1]
             for b in touched:
                 lo, m, hi = first[b], marked[b], past[b]
                 marked[b] = lo
@@ -271,7 +277,7 @@ def _hopcroft_partition(d: Dfa) -> list[int]:
                 else:
                     past[b] = m
                     lo = m
-                ni = len(first)
+                ni = ids[len(first)]
                 first.append(lo)
                 past.append(hi)
                 marked.append(lo)
@@ -293,21 +299,26 @@ def minimize(d: Dfa, algo: str = "hopcroft") -> Dfa:
     h = accessible_part(d)
     part = _hopcroft_partition(h) if algo == "hopcroft" else nerode_partition(h)
 
-    # relabel classes by first occurrence, pick the first state as representative
-    relabel: dict[int, int] = {}
+    # relabel classes by first occurrence, pick the first state as representative; every
+    # class number stored below is one of the int objects of nums
+    nums = list(range(h.n_states))
+    relabel = [-1] * h.n_states
     reps: list[int] = []
-    for q in range(h.n_states):
-        if part[q] not in relabel:
-            relabel[part[q]] = len(reps)
+    for q, c in zip(nums, part):
+        if relabel[c] < 0:
+            relabel[c] = nums[len(reps)]
             reps.append(q)
-    cls = [relabel[c] for c in part]
+    cls = list(map(relabel.__getitem__, part))
+    del part, relabel  # and with them the partition's own class numbers
 
     # h is numbered breadth-first and classes by first occurrence in h, so
     # the quotient is already in canonical breadth-first order: the first
     # state of a class is reached from some (p, a), and (rep of p's class, a)
     # is no later and lands in the same class.
+    # a generator, not map(row.__getitem__, reps): a tuple's __getitem__ is a slot wrapper,
+    # and over 3,125 letters it made the rows twice as slow
     rows = tuple(tuple(cls[row[rep]] for rep in reps) for row in h.trans)
-    finals = frozenset(c for c, rep in enumerate(reps) if rep in h.finals)
+    finals = frozenset(itertools.compress(nums, map(h.finals.__contains__, reps)))
     return _dfa(h.alphabet, len(reps), cls[h.initial], finals, rows)
 
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .automata import Dfa, _dfa
 from .errors import CapExceeded
@@ -357,6 +357,14 @@ def accessible_tuples(
     the rows at the end.  All of this but the fill runs in C, through
     ``map``, ``dict.fromkeys`` and ``itertools``.
 
+    With one coordinate a key is a component id, and components are interned
+    in the order in which their keys are first numbered, so a tuple's number
+    is its component id (``coords[0][s] == s``): no dict maps keys to
+    numbers, and the keys are the successors' numbers.  The interning dicts,
+    the successor tables and the numbering are dropped before the flat list
+    of transitions is cut into the rows, so the rows never share the peak
+    with them.
+
     More than ``max_states`` tuples, more than ``TRANSITIONS_PER_STATE *
     max_states`` transitions (tuples times letters), or more than that
     many images stored across the interned components raise CapExceeded.
@@ -417,19 +425,25 @@ def accessible_tuples(
     # Numbering refuses at the first of the state cap and the transition
     # cap, with the state cap's message when both apply.
     limit = min(max_states, work // max(len(letters), 1))
-    index: dict[int, int] = {}
+    # Each numbered key's number.  With one coordinate a key is a component id, and ids are
+    # interned in the order their keys are numbered in, so the id is the number: no index.
+    index: dict[int, int] | None = {} if k > 1 else None
     coords: list[list[int]] = [[] for _ in range(k)]
     targets: list[int] = []  # the number of each successor, tuple by tuple, letters in order
 
     def number(keys: Iterable[int]) -> None:
         """Number the keys not numbered yet, in order of first appearance."""
-        new = dict.fromkeys(itertools.filterfalse(index.__contains__, keys))
-        sid = len(index)
+        sid = len(coords[0])
+        if index is None:  # the new keys are the ids from sid on
+            new: Collection[int] = range(sid, max(sid, max(keys, default=-1) + 1))
+        else:
+            new = dict.fromkeys(itertools.filterfalse(index.__contains__, keys))
         if sid + len(new) > limit:
             if limit >= max_states:
                 raise CapExceeded(f"more than {max_states} reachable tuples")
             check_transitions(limit + 1, len(letters), max_states)
-        index.update(zip(new, range(sid, sid + len(new))))
+        if index is not None:
+            index.update(zip(new, range(sid, sid + len(new))))
         for coord, objs, scale, radix in zip(coords, cids, scales, radices):  # each key's digit there
             digits = map(operator.floordiv, new, itertools.repeat(scale))
             coord.extend(map(objs.__getitem__, map(operator.mod, digits, itertools.repeat(radix))))
@@ -456,8 +470,8 @@ def accessible_tuples(
     filled = [0] * k  # per coordinate: the components whose slots are filled
     span = max(MIN_BLOCK_TUPLES, BLOCK_PAIRS // max(len(letters), 1))  # tuples per block
     i = 0
-    while i < len(index):
-        end = min(len(index), i + span)
+    while i < len(coords[0]):
+        end = min(len(coords[0]), i + span)
         parts = [coord[i:end] for coord in coords]
         # (position, coordinate, id) of each component first seen in the block; ids first
         # appear in increasing order, so each position is searched from the one before
@@ -490,8 +504,10 @@ def accessible_tuples(
             raise
         keys = list(successor_keys(parts))
         number(keys)
-        targets.extend(map(index.__getitem__, keys))
+        targets.extend(keys if index is None else map(index.__getitem__, keys))
         i = end
+    # Dropped before the rows are cut, so that the rows never share the peak with them.
+    del ids, cids, tables, bound_of, binds, index
     rows = tuple(tuple(targets[li :: len(letters)]) for li in range(len(letters)))
     return tuple(map(tuple, components)), tuple(map(tuple, coords)), rows
 

@@ -562,6 +562,8 @@ class TestEngineAgainstNaiveSearch:
             tuple(comps.index(t.components[j].images) for t in order) for j, comps in enumerate(want_components)
         )
         assert got_rows == tuple(map(tuple, rows))
+        if len(sizes) == 1:  # the engine numbers one-coordinate tuples by component id
+            assert coords[0] == tuple(range(len(coords[0])))
 
 
 class TestCapsAndErrors:
