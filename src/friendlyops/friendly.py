@@ -7,11 +7,15 @@ the witness predicate of the tight bound.  An ``EPredicate`` is the
 decidable stand-in for a set of characteristic tuples: an explicit finite
 set or a compiled expression.
 
-Evaluation happens on ``CharTuple`` values.  An argument ``Lj`` reads the
-bit at index 1 of component j (a word is its own first power); a root
-rescales indices; ``Root`` scans exponents 1 .. A+C where A is the longest
-component prefix and C the lcm of the component periods, which covers all
-behaviors because rescaled tuples repeat with period C beyond A.
+Evaluation reads a word's ``CharTuple`` by exponent: bit p of component j
+is [w^p in L_j], so asking whether w^power is in an expression's language
+makes ``Lj`` read bit ``power`` (a word is its own first power), makes
+``root[m]`` ask about w^(power*m), and leaves the tuple as it is.  Only
+``wheel k`` and ``Root`` read the tuple of w^power itself, which is
+``scale_tuple(chi, power)``.  ``Root`` scans exponents 1 .. A+C of w^power,
+where A is that tuple's longest component prefix and C the lcm of its
+periods: past A its bits repeat with period C, so every larger exponent
+behaves as the one C lower.
 """
 
 from __future__ import annotations
@@ -291,28 +295,34 @@ def _wheel_member(components: Sequence) -> bool:
     return any(u != ZERO for u in components)
 
 
-def eval_expr(e: OpExpr, chi: CharTuple) -> bool:
-    """Evaluate an expression on a characteristic tuple."""
+def eval_expr(e: OpExpr, chi: CharTuple, *, power: int = 1) -> bool:
+    """Whether w^power is in e's language, for a word w whose characteristic tuple is chi.
+
+    ``Lj`` reads bit ``power`` of component j and ``root[m]`` asks about w^(power*m); neither
+    rescales chi.  ``wheel k`` and ``Root`` read the tuple of w^power, ``scale_tuple(chi, power)``.
+    Past its longest prefix A its bits repeat with the lcm C of its periods, so the tuple of
+    (w^power)^p equals that of (w^power)^(p-C) for p > A+C, and ``Root`` scans p in 1..A+C.
+    """
     if isinstance(e, Arg):
-        return at(chi.components[e.index - 1], 1) == 1
-    if isinstance(e, Wheel):
-        return _wheel_member(chi.components[: e.k])
+        return at(chi.components[e.index - 1], power) == 1
     if isinstance(e, Not):
-        return not eval_expr(e.inner, chi)
+        return not eval_expr(e.inner, chi, power=power)
     if isinstance(e, And):
-        return eval_expr(e.left, chi) and eval_expr(e.right, chi)
+        return eval_expr(e.left, chi, power=power) and eval_expr(e.right, chi, power=power)
     if isinstance(e, Or):
-        return eval_expr(e.left, chi) or eval_expr(e.right, chi)
+        return eval_expr(e.left, chi, power=power) or eval_expr(e.right, chi, power=power)
     if isinstance(e, Xor):
-        return eval_expr(e.left, chi) != eval_expr(e.right, chi)
+        return eval_expr(e.left, chi, power=power) != eval_expr(e.right, chi, power=power)
     if isinstance(e, RootM):
-        return eval_expr(e.inner, scale_tuple(chi, e.m))
-    if isinstance(e, RootStar):
-        bound = max(len(u.prefix) for u in chi.components) + lcm(*(len(u.period) for u in chi.components))
-        if bound > DEFAULT_SCAN_CAP:
-            raise CapExceeded(f"Root scan bound {bound} exceeds cap {DEFAULT_SCAN_CAP}")
-        return any(eval_expr(e.inner, scale_tuple(chi, p)) for p in range(1, bound + 1))
-    raise TypeError(f"not an expression node: {e!r}")
+        return eval_expr(e.inner, chi, power=power * e.m)
+    if not isinstance(e, (Wheel, RootStar)):
+        raise TypeError(f"not an expression node: {e!r}")
+    comps = (chi if power == 1 else scale_tuple(chi, power)).components
+    if isinstance(e, Wheel):
+        return _wheel_member(comps[: e.k])
+    if (bound := max(len(u.prefix) for u in comps) + lcm(*(len(u.period) for u in comps))) > DEFAULT_SCAN_CAP:
+        raise CapExceeded(f"Root scan bound {bound} exceeds cap {DEFAULT_SCAN_CAP}")
+    return any(eval_expr(e.inner, chi, power=power * p) for p in range(1, bound + 1))
 
 
 def eval_pred(pred: EPredicate, chi: CharTuple) -> bool:

@@ -59,9 +59,6 @@ class TransFn:
     def is_constant(self) -> bool:
         return all(v == self.images[0] for v in self.images)
 
-    def is_identity(self) -> bool:
-        return all(v == x for x, v in enumerate(self.images))
-
 
 @dataclass(frozen=True)
 class TransTuple:
@@ -100,10 +97,6 @@ def _tuple(components: tuple[TransFn, ...]) -> TransTuple:
 
 def identity(n: int) -> TransFn:
     return TransFn(tuple(range(n)))
-
-
-def constant(n: int, value: int) -> TransFn:
-    return TransFn((value,) * n)
 
 
 def compose(f: TransFn, g: TransFn) -> TransFn:

@@ -10,22 +10,27 @@ from conftest import FIG1, FIG2
 from friendlyops import (
     And,
     Arg,
+    CharTuple,
     Compiled,
     Dfa,
     Explicit,
+    MonsterSpec,
     Not,
     Or,
     RootM,
     RootStar,
+    UPSeq,
     Wheel,
     Xor,
     accepts,
+    at,
     build_standard,
     eval_expr,
     eval_pred,
     explicit_from_file,
     expr_arity,
     format_expr,
+    monster,
     parse_char_tuple,
     parse_expr,
     scale_tuple,
@@ -185,6 +190,118 @@ class TestRootStarBound:
             short = any(eval_expr(inner, scale_tuple(chi, p)) for p in range(1, a + c + 1))
             long = any(eval_expr(inner, scale_tuple(chi, p)) for p in range(1, 4 * (a + c) + 1))
             assert short == long
+
+
+def rescaled_eval(e, chi):
+    """The evaluator that rescales the tuple at every root, kept as the reference for ``eval_expr``.
+
+    ``root[m]`` evaluates its operand on ``scale_tuple(chi, m)`` and ``Root`` on ``scale_tuple(chi, p)``
+    for each exponent p it scans, so an argument always reads bit 1 of the tuple it is given.
+    """
+    if isinstance(e, Arg):
+        return at(chi.components[e.index - 1], 1) == 1
+    if isinstance(e, Wheel):
+        return friendly._wheel_member(chi.components[: e.k])
+    if isinstance(e, Not):
+        return not rescaled_eval(e.inner, chi)
+    if isinstance(e, And):
+        return rescaled_eval(e.left, chi) and rescaled_eval(e.right, chi)
+    if isinstance(e, Or):
+        return rescaled_eval(e.left, chi) or rescaled_eval(e.right, chi)
+    if isinstance(e, Xor):
+        return rescaled_eval(e.left, chi) != rescaled_eval(e.right, chi)
+    if isinstance(e, RootM):
+        return rescaled_eval(e.inner, scale_tuple(chi, e.m))
+    if isinstance(e, RootStar):
+        bound = max(len(u.prefix) for u in chi.components) + lcm(*(len(u.period) for u in chi.components))
+        if bound > friendly.DEFAULT_SCAN_CAP:
+            raise CapExceeded(f"Root scan bound {bound} exceeds cap {friendly.DEFAULT_SCAN_CAP}")
+        return any(rescaled_eval(e.inner, scale_tuple(chi, p)) for p in range(1, bound + 1))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def sized_expr(rng, arity, depth):
+    """A random expression over arguments 1..arity with wheel leaves, root[0..4] and nested Root."""
+    if depth <= 0 or rng.random() < 0.25:
+        return Wheel(rng.randint(1, arity)) if rng.random() < 0.2 else Arg(rng.randint(1, arity))
+    node = rng.choice((Not, And, Or, Xor, RootM, RootStar))
+    if node is RootM:
+        return RootM(rng.randint(0, 4), sized_expr(rng, arity, depth - 1))
+    if node in (Not, RootStar):
+        return node(sized_expr(rng, arity, depth - 1))
+    return node(sized_expr(rng, arity, depth - 1), sized_expr(rng, arity, depth - 1))
+
+
+def random_bits(rng, lo, hi):
+    return tuple(rng.randrange(2) for _ in range(rng.randint(lo, hi)))
+
+
+def outcome(evaluate, e, chi):
+    """The value, or the type and message of the exception, of one evaluation."""
+    try:
+        return evaluate(e, chi)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestEvaluationByExponent:
+    PERIOD_13 = parse_char_tuple("(1000000000000)")
+
+    def test_agrees_with_rescaled_evaluation(self, monkeypatch):
+        # arity 1-3, prefixes of 0-5 bits, periods of 1-7 bits; some pairs under a small scan cap
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(5000):
+            k = rng.randint(1, 3)
+            e = sized_expr(rng, k, 4)
+            chi = CharTuple(tuple(UPSeq(random_bits(rng, 0, 5), random_bits(rng, 1, 7)) for _ in range(k)))
+            monkeypatch.setattr(friendly, "DEFAULT_SCAN_CAP", rng.choice((10**6, 40, 12)))
+            want = outcome(rescaled_eval, e, chi)
+            assert outcome(eval_expr, e, chi) == want, (format_expr(e), str(chi))
+            seen.add(want if isinstance(want, bool) else want[0])
+        assert seen == {True, False, CapExceeded}
+
+    def test_refusals_follow_the_scaled_bound(self, monkeypatch):
+        monkeypatch.setattr(friendly, "DEFAULT_SCAN_CAP", 12)
+        for evaluate in (eval_expr, rescaled_eval):
+            with pytest.raises(CapExceeded) as exc:
+                evaluate(parse_expr("Root(L1)"), self.PERIOD_13)
+            assert str(exc.value) == "Root scan bound 13 exceeds cap 12"
+            # the 13th power of the word has the tuple (1), whose scan bound is 1
+            assert evaluate(parse_expr("root[13](Root(L1))"), self.PERIOD_13) is True
+
+
+class TestScaleWork:
+    """``scale_tuple`` runs at most once per ``Root`` or ``wheel`` node evaluated."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"scale_tuple": 0, "root_or_wheel": 0}
+        scale, evaluate = friendly.scale_tuple, friendly.eval_expr
+
+        def counted_scale(chi, m):
+            calls["scale_tuple"] += 1
+            return scale(chi, m)
+
+        def counted_eval(e, chi, **kwargs):
+            calls["root_or_wheel"] += isinstance(e, (RootStar, Wheel))
+            return evaluate(e, chi, **kwargs)
+
+        monkeypatch.setattr(friendly, "scale_tuple", counted_scale)
+        monkeypatch.setattr(friendly, "eval_expr", counted_eval)
+        return calls
+
+    def test_kary_build(self, calls):
+        pred = Compiled(parse_expr("Root(L1 & L2) | root[2](L3)"))
+        build = build_standard(pred, monster(MonsterSpec((3, 3, 3), "generators")))
+        assert build.n_states == 19683
+        assert calls["scale_tuple"] <= calls["root_or_wheel"] <= 512
+
+    def test_nested_root_on_two_cycles(self, calls):
+        chi = parse_char_tuple("(1" + "0" * 12 + "),(1" + "0" * 16 + ")")
+        assert eval_pred(Compiled(parse_expr("Root(Root(L1 & L2 & !L1))")), chi) is False
+        # the outer scan's bound is lcm(13, 17) = 221; each exponent it scans rescales at most once
+        assert calls["scale_tuple"] <= min(calls["root_or_wheel"], 221)
 
 
 class TestWordOracle:
