@@ -513,8 +513,10 @@ def accepts_up_to(d: Dfa, max_len: int) -> Iterator[bool]:
     The walk keeps the states of one length at a time.  The words of
     length l are each word of length l - 1 in turn, followed by each letter
     in alphabet order, so the next level lists each state's successors
-    under every letter, state after state, and is made at C speed.  With
-    no letters the walk stops after the empty word.
+    under every letter, state after state, and is made at C speed: one
+    ``itemgetter`` of the level reads its images under each letter, as in
+    ``accessible_part``.  With no letters the walk stops after the empty
+    word.
 
     Memory: the largest level holds one state per word of length
     ``max_len``.  The ``oracle`` command admits a ``max_len`` only if all
@@ -526,7 +528,11 @@ def accepts_up_to(d: Dfa, max_len: int) -> Iterator[bool]:
     level = [d.initial]
     for _ in range(max_len):
         yield from map(is_final, level)
-        level = list(itertools.chain.from_iterable(zip(*(map(row.__getitem__, level) for row in d.trans))))
+        get = operator.itemgetter(*level)
+        if len(level) == 1:  # the getter returns the image itself, not a tuple
+            level = list(map(get, d.trans))
+        else:
+            level = list(itertools.chain.from_iterable(zip(*map(get, d.trans))))
         if not level:
             return
     yield from map(is_final, level)

@@ -20,6 +20,7 @@ behaves as the one C lower.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -387,7 +388,11 @@ def word_oracle(pred: EPredicate, dfas: Sequence[Dfa], word: Sequence[str], *, m
     for li in letters:
         succ = rec[li]
         if succ is None:
-            key = tuple(tuple(map(d.trans[li].__getitem__, f)) for d, f in zip(dfas, rec[-2]))
+            # one itemgetter reads a map's images under the letter; a one-point map's is read itself
+            key = tuple(
+                operator.itemgetter(*f)(d.trans[li]) if len(f) > 1 else (d.trans[li][f[0]],)
+                for d, f in zip(dfas, rec[-2])
+            )
             succ = rec[li] = _record(memo, key, n_letters)
         rec = succ
     if rec[-1] is None:

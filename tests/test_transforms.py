@@ -1,5 +1,8 @@
 """Tests for self-maps, tuples, orbits, generators and tokens."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -20,6 +23,8 @@ from friendlyops import (
 from friendlyops.errors import ParseError
 from friendlyops.modifiers import accessible_tuples
 from friendlyops.transforms import (
+    _fn,
+    _tuple,
     all_fns,
     all_tuples,
     fn_rank,
@@ -106,6 +111,55 @@ class TestCompose:
         want = TransFn(tuple(f(g(x)) for x in range(f.n)))
         assert_same_fn(composed, want)
         assert fn_token(TransTuple((composed,))) == fn_token(TransTuple((want,)))
+
+
+SLOTTED_VALUES = [
+    (lambda: TransFn((1, 0, 2)), "images", "TransFn(images=(1, 0, 2))"),
+    (lambda: _fn((1, 0, 2)), "images", "TransFn(images=(1, 0, 2))"),
+    (lambda: TransTuple((TransFn((1, 0)), TransFn((0,)))), "components",
+     "TransTuple(components=(TransFn(images=(1, 0)), TransFn(images=(0,))))"),
+    (lambda: _tuple((_fn((1, 0)), _fn((0,)))), "components",
+     "TransTuple(components=(TransFn(images=(1, 0)), TransFn(images=(0,))))"),
+]
+
+
+@pytest.mark.parametrize("make, field, text", SLOTTED_VALUES, ids=["fn", "_fn", "tuple", "_tuple"])
+class TestSlottedValues:
+    """Checked and unchecked values alike keep their one field in a slot, frozen."""
+
+    def test_no_instance_dict(self, make, field, text):
+        with pytest.raises(TypeError):
+            vars(make())
+
+    def test_frozen(self, make, field, text):
+        value = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip(self, make, field, text, copier):
+        value = make()
+        back = copier(value)
+        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+
+    def test_repr(self, make, field, text):
+        assert repr(make()) == text
+
+
+class TestOnePointMaps:
+    """``compose`` reads images with one itemgetter, which returns a one-point map's image bare."""
+
+    def test_compose(self):
+        got = compose(TransFn((0,)), TransFn((0,)))
+        assert got.images == (0,)
+        assert_same_fn(got, TransFn((0,)))
+
+    def test_tuple_compose(self):
+        one = TransTuple((TransFn((0,)),))
+        assert tuple_compose(one, one).components[0].images == (0,)
+        mixed = TransTuple((TransFn((0,)), TransFn((1, 0))))
+        assert tuple_compose(mixed, mixed) == TransTuple((TransFn((0,)), TransFn((0, 1))))
 
 
 class TestTupleCompose:
