@@ -162,6 +162,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     work = TRANSITIONS_PER_STATE * args.max_states
     if words_within(len(build.alphabet), args.maxlen, work) is None:
         raise CapExceeded(f"more than {work} words up to length {args.maxlen}")
+    # Each letter is a step of the oracle's fold.  On one letter the words up to L hold
+    # L(L+1)/2 letters; on two or more the word cap keeps every word under log2(10N) + 1 letters.
+    if len(build.alphabet) == 1 and args.maxlen * (args.maxlen + 1) // 2 > work:
+        raise CapExceeded(f"more than {work} letters in words up to length {args.maxlen}")
     memo: dict = {}
     for word, built in zip(words_up_to(build.alphabet, args.maxlen), accepts_up_to(build, args.maxlen)):
         if built != word_oracle(pred, dfas, word, memo=memo):

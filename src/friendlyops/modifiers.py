@@ -523,28 +523,42 @@ def _final_states(
     A state's characteristic tuple is, per coordinate, the sequence of the
     orbit of the initial state under the state's component there: its
     membership bits in the final set, the tail as prefix and the cycle as
-    period.  So each coordinate makes one sequence per distinct orbit class
-    (tail and bits), and numbers the distinct sequences.  A state's key is
-    its tuple of sequence numbers; sequences are canonical, so distinct keys
-    are distinct characteristic tuples, and ``eval_pred`` runs once per
-    distinct key.  The keys are read twice, at C speed, and never stored.
+    period.  Coordinate j of n points walks the initial state x_0 under all
+    of its components at once, a step at a time: n passes of a C-level
+    ``map`` give every component's x_1..x_n.  Those n + 1 points of n
+    repeat one, so the walk fixes the orbit, and components with one walk
+    share it.  ``rho_walk``, the membership bits and the orbit class (tail
+    and bits) are read once per distinct walk, from one component with it,
+    and each distinct orbit class makes one sequence; the distinct
+    sequences are numbered.  A state's key is its tuple of sequence
+    numbers; sequences are canonical, so distinct keys are distinct
+    characteristic tuples, and ``eval_pred`` runs once per distinct key.
+    The keys are read twice, at C speed, and never stored.  The walk holds
+    n lists of one slot per component, a slot per image the coordinate
+    interned, until its coordinate is numbered.
     """
     seqs: list[list[UPSeq]] = []  # per coordinate: its distinct sequences, by number
     seq_of: list[list[int]] = []  # per coordinate: the sequence number of each component id
-    for comps, i, fs in zip(components, cfg.initials, cfg.finals):
+    for comps, i, n, fs in zip(components, cfg.initials, cfg.sizes, cfg.finals):
+        # steps[t - 1][c]: where component c sends i in t steps, for t = 1..n
+        steps = [list(map(operator.itemgetter(i), comps))]
+        for _ in range(n - 1):
+            steps.append(list(map(operator.getitem, comps, steps[-1])))
         by_class: dict[tuple[int, tuple[bool, ...]], int] = {}
         numbers: dict[UPSeq, int] = {}
-        per_id = []
-        for images in comps:
+        reps = dict(zip(zip(*steps), comps))  # each distinct walk x_1..x_n: a component with it
+        by_walk: dict[tuple[int, ...], int] = {}  # each distinct walk: its sequence number
+        for walk, images in reps.items():
             tail, orbit = rho_walk(images, i)
             bits = tuple(map(fs.__contains__, orbit))
             sn = by_class.get((tail, bits))
             if sn is None:
                 u = _bits(tuple(map(int, bits[:tail])), tuple(map(int, bits[tail:])))
                 sn = by_class[(tail, bits)] = numbers.setdefault(u, len(numbers))
-            per_id.append(sn)
+            by_walk[walk] = sn
         seqs.append(list(numbers))
-        seq_of.append(per_id)
+        seq_of.append(list(map(by_walk.__getitem__, zip(*steps))))
+        del steps, reps
 
     def keys() -> Iterator[tuple[int, ...]]:
         return zip(*(map(per_id.__getitem__, ids_j) for per_id, ids_j in zip(seq_of, coords)))

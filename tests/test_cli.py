@@ -228,6 +228,29 @@ class TestOracle:
         assert (captured.out, captured.err) == ("", "error: more than 100 words up to length 6\n")
         assert walked == []  # refused before any word ran
 
+    def test_letter_cap_on_one_letter(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cycle.dfa"
+        path.write_text(print_dfa(Dfa(("a",), 3, 0, {2}, ((1, 2, 0),))))
+        argv = ["oracle", "--expr", "Root(L1)", "--dfa", str(path), "--maxlen"]
+        # 14 words up to length 13 hold 91 letters, 15 up to length 14 hold 105, against a cap of 100
+        assert main(["--max-states", "10"] + argv + ["13"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 13\n"
+        walked = []
+        monkeypatch.setattr(cli, "word_oracle", lambda *args, **kwargs: walked.append(args))
+        assert main(["--max-states", "10"] + argv + ["14"]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: more than 100 letters in words up to length 14\n")
+        # at the default cap: 4,471 * 4,472 / 2 = 9,997,156 letters pass and 10,001,628 do not
+        assert main(argv + ["4472"]) == 3
+        assert capsys.readouterr().err == "error: more than 10000000 letters in words up to length 4472\n"
+        assert walked == []  # refused before any word ran
+        monkeypatch.setattr(cli, "words_up_to", lambda *args: iter(()))  # admitted, but walk no word
+        assert main(argv + ["4471"]) == 0
+        assert capsys.readouterr().out == "agreement on all words up to length 4471\n"
+        # the word cap is checked first and keeps its message
+        assert main(argv + ["10000000"]) == 3
+        assert capsys.readouterr().err == "error: more than 10000000 words up to length 10000000\n"
+
     @pytest.mark.parametrize("expr", [
         "!" * 5000 + "L1",
         "(" * 2000 + "L1" + ")" * 2000,

@@ -1,5 +1,6 @@
 """Tests for modifiers, standardization, composition and standard builds."""
 
+import itertools
 import random
 from unittest import mock
 
@@ -40,7 +41,7 @@ from friendlyops import modifiers
 from friendlyops.automata import accessible_part, print_dfa
 from friendlyops.errors import CapExceeded
 from friendlyops.experiments import random_dfa, random_predicate
-from friendlyops.modifiers import _random_tuple, _std_action
+from friendlyops.modifiers import _final_states, _random_tuple, _std_action
 from friendlyops.monsters import MonsterSpec, monster
 from friendlyops.transforms import (
     all_tuples,
@@ -409,6 +410,63 @@ class TestInternedBuild:
         assert "states" not in vars(build)
         assert len(build.states) == 27
         assert "states" in vars(build)
+
+
+def finals_state_by_state(pred, cfg, components, coords):
+    """The states whose characteristic tuple, made by ``char_tuple`` for each state, satisfies pred."""
+    finals = set()
+    for s, ids in enumerate(zip(*coords)):
+        t = TransTuple(tuple(TransFn(comps[c]) for comps, c in zip(components, ids)))
+        if eval_pred(pred, char_tuple(t, cfg.initials, cfg.finals)):
+            finals.add(s)
+    return finals
+
+
+class TestFinalityPass:
+    """``_final_states`` against ``char_tuple`` and ``eval_pred`` state by state.
+
+    The components are given by hand, so that the walks include the longest
+    ones: an orbit of n points needs all n steps to revisit one.  Each state
+    list holds every component twice, in a seeded order, so that states
+    share components and ids are read out of order.
+    """
+
+    UNARY = [Compiled(parse_expr(e)) for e in ("L1", "Root(L1)", "root[2](L1)", "!L1 & root[3](L1)")] + [
+        wheel_builtin(1)
+    ]
+    BINARY = [Compiled(parse_expr(e)) for e in ("L1 ^ L2", "Root(L1 & L2)", "root[2](L1) | !L2")] + [
+        wheel_builtin(2)
+    ]
+
+    @staticmethod
+    def check(preds, components, seed, final_sets=3):
+        rng = random.Random(seed)
+        sizes = tuple(len(comps[0]) for comps in components)
+        per_state = list(itertools.product(*(range(len(comps)) for comps in components))) * 2
+        rng.shuffle(per_state)
+        coords = tuple(zip(*per_state))
+        for initials in itertools.product(*(range(n) for n in sizes)):
+            for _ in range(final_sets):
+                finals = tuple(frozenset(q for q in range(n) if rng.random() < 0.5) for n in sizes)
+                cfg = StateConfig(sizes, initials, finals)
+                for pred in preds:
+                    expected = finals_state_by_state(pred, cfg, components, coords)
+                    assert _final_states(pred, cfg, components, coords) == expected, (pred, cfg)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_map(self, n):
+        self.check(self.UNARY, (tuple(itertools.product(range(n), repeat=n)),), seed=n)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_longest_walks(self, n):
+        # x -> x + 1 below n - 1, and n - 1 -> k: from 0 a tail of k states into a cycle of
+        # n - k; k = 0 is the n-cycle and k = n - 1 the tail of n - 1 states into a fixed point
+        comps = tuple(tuple(range(1, n)) + (k,) for k in range(n))
+        self.check(self.UNARY, (comps,), seed=n)
+
+    def test_two_coordinates(self):
+        cycle = tuple(tuple(range(1, 5)) + (k,) for k in range(5))
+        self.check(self.BINARY, (tuple(itertools.product(range(2), repeat=2)), cycle), seed=7, final_sets=2)
 
 
 class TestUncheckedAutomata:
