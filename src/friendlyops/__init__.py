@@ -12,6 +12,7 @@ from .automata import (
     Dfa,
     accepts,
     accessible_part,
+    check_partition,
     equivalent,
     minimize,
     nerode_partition,

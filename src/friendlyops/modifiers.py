@@ -506,7 +506,10 @@ def accessible_tuples(
         number(keys)
         targets.extend(keys if index is None else map(index.__getitem__, keys))
         i = end
-    # Dropped before the rows are cut, so that the rows never share the peak with them.
+    # Dropped before the rows are cut, so that the rows never share the peak with them; the
+    # fill's locals are rebound, not deleted, since no miss (or no growth) leaves them unbound,
+    # and otherwise they hold the last successor row it touched.
+    srow = lop = bound = g = operands = pad = None
     del ids, cids, tables, bound_of, binds, index
     rows = tuple(tuple(targets[li :: len(letters)]) for li in range(len(letters)))
     return tuple(map(tuple, components)), tuple(map(tuple, coords)), rows

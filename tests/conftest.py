@@ -11,7 +11,17 @@ from __future__ import annotations
 
 import random
 
-from friendlyops import Dfa, accessible_part, accepts, minimize, print_dfa, words_up_to
+from friendlyops import (
+    Dfa,
+    accessible_part,
+    accepts,
+    check_partition,
+    minimize,
+    nerode_partition,
+    print_dfa,
+    words_up_to,
+)
+from friendlyops.automata import _hopcroft_partition
 
 # Two states, initial 0, final 1; a swaps, b sends everything to 1.
 FIG1 = Dfa(("a", "b"), 2, 0, frozenset({1}), ((1, 0), (1, 1)))
@@ -82,7 +92,14 @@ def brute_min_states(d: Dfa) -> int:
 
 
 def assert_minimize_agree(d: Dfa) -> Dfa:
-    """Both minimization engines must emit byte-identical documents."""
+    """Both minimization engines must emit byte-identical documents.
+
+    The partitions of the accessible part that ``minimize`` quotients by must
+    also pass ``check_partition`` under both engines.
+    """
+    a = accessible_part(d)
+    check_partition(a, _hopcroft_partition(a))
+    check_partition(a, nerode_partition(a))
     h = minimize(d, "hopcroft")
     m = minimize(d, "moore")
     assert print_dfa(h) == print_dfa(m)

@@ -25,6 +25,7 @@ from friendlyops import (
     accessible_part,
     build_standard,
     build_standard_detailed,
+    check_partition,
     equivalent,
     minimize,
     monster,
@@ -252,6 +253,15 @@ def _first_occurrence(part: list[int]) -> list[int]:
     return [relabel.setdefault(c, len(relabel)) for c in part]
 
 
+def _assert_partitions_agree(d: Dfa) -> None:
+    """Hopcroft's classes are Moore's on every state, both pass the certificate, and the quotients print alike."""
+    hopcroft, moore = _hopcroft_partition(d), nerode_partition(d)
+    assert _first_occurrence(hopcroft) == moore  # Moore numbers classes by first occurrence
+    check_partition(d, hopcroft)
+    check_partition(d, moore)
+    assert print_dfa(minimize(d, "hopcroft")) == print_dfa(minimize(d, "moore"))
+
+
 def _chain(n: int) -> Dfa:
     """a^(n-1) a*: the states 0 -> 1 -> ... -> n-1, only the last one final and looping."""
     return Dfa(("a",), n, 0, {n - 1}, (tuple(min(q + 1, n - 1) for q in range(n)),))
@@ -292,7 +302,7 @@ class TestMinimize:
             assert assert_minimize_agree(d).n_states <= n
 
     def test_agrees_with_moore_with_permutation_letters(self):
-        # permutation rows share the ids list as offsets; a row that is one image off a permutation must not
+        # a permutation row stores its inverse and no offsets; a row that is one image off a permutation must not
         rng = random.Random(4)
         for _ in range(200):
             n = rng.randint(2, 40)
@@ -345,8 +355,7 @@ class TestMinimize:
     @given(small_dfas())
     def test_hopcroft_matches_moore_on_every_state(self, d):
         # the partitions cover unreachable states too; minimize drops them
-        assert _first_occurrence(_hopcroft_partition(d)) == _first_occurrence(nerode_partition(d))
-        assert print_dfa(minimize(d, "hopcroft")) == print_dfa(minimize(d, "moore"))
+        _assert_partitions_agree(d)
 
     def test_minimize_peak_memory_stays_near_the_build(self):
         # 256 letters x 256 states: how predecessors are stored decides minimize's peak
@@ -391,6 +400,115 @@ class TestMinimize:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             minimize(FIG1, "brzozowski")
+
+
+def _is_permutation(row: tuple[int, ...]) -> bool:
+    return len(set(row)) == len(row)
+
+
+class TestPermutationLetters:
+    """A letter whose in-degrees are all 1 keeps its inverse alone and is read without a slice."""
+
+    def test_one_state_every_letter_is_a_permutation(self):
+        for letters in ((), ("a",), ("a", "b")):
+            for finals in (frozenset(), frozenset({0})):
+                _assert_partitions_agree(Dfa(letters, 1, 0, finals, tuple((0,) for _ in letters)))
+
+    def test_permutation_letters_only(self):
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(1, 40)
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                row = list(range(n))
+                rng.shuffle(row)
+                rows.append(tuple(row))
+            finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+            _assert_partitions_agree(Dfa(tuple("abc"[: len(rows)]), n, rng.randrange(n), finals, tuple(rows)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_monster_cycle_and_swap_without_the_drop_letter(self, n):
+        spec = MonsterSpec((n,), "generators")
+        for d in (monster(spec)[0], build_standard(wheel_builtin(1), monster(spec))):
+            keep = [li for li, row in enumerate(d.trans) if _is_permutation(row)]
+            assert len(keep) == 2
+            d = Dfa(
+                tuple(d.alphabet[li] for li in keep), d.n_states, d.initial, d.finals, tuple(d.trans[li] for li in keep)
+            )
+            _assert_partitions_agree(d)
+
+    def test_identity_letter(self):
+        rng = random.Random(8)
+        for i in range(150):
+            n = rng.randint(1, 40)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            # the identity beside another identity, a permutation or any map
+            rows = [tuple(range(n)), (tuple(range(n)), tuple(perm), tuple(rng.randrange(n) for _ in range(n)))[i % 3]]
+            rng.shuffle(rows)
+            finals = frozenset(q for q in range(n) if rng.random() < 0.4)
+            _assert_partitions_agree(Dfa(tuple("ab"[: len(rows)]), n, rng.randrange(n), finals, tuple(rows)))
+
+    def test_block_ids_are_pinned(self):
+        # the refinement order decides the block ids; reading a permutation letter's successors
+        # in place of its predecessors finds the same classes under other ids
+        d = build_standard(wheel_builtin(1), monster(MonsterSpec((3,), "generators")))
+        expected = [11, 15, 13, 6, 14, 16, 18, 12, 5, 9, 22, 17, 20, 10, 7, 8, 2, 24, 4, 19, 3, 0, 1, 21, 23, 0, 0]
+        assert _hopcroft_partition(d) == expected
+
+    def test_mono_n5_build(self):
+        # two permutation letters (cycle and swap) and one that is not, on 3,125 states
+        d = build_standard(wheel_builtin(1), monster(MonsterSpec((5,), "generators")))
+        assert d.n_states == 3125
+        assert [_is_permutation(row) for row in d.trans].count(True) == 2
+        _assert_partitions_agree(d)
+        assert minimize(d).n_states == 3121
+
+
+class TestCheckPartition:
+    def test_every_state_its_own_class_passes(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            d = random_dfa(rng, rng.randint(1, 20), tuple("abc"[: rng.randint(0, 3)]))
+            check_partition(d, list(range(d.n_states)))
+
+    def test_merging_two_classes_fails(self):
+        # a congruence that respects finality is at least as fine as Nerode's, so no merge passes
+        rng = random.Random(10)
+        tried = 0
+        for _ in range(300):
+            d = random_dfa(rng, rng.randint(2, 30), tuple("abc"[: rng.randint(1, 3)]))
+            for part in (_hopcroft_partition(d), nerode_partition(d)):
+                classes = sorted(set(part))
+                if len(classes) < 2:
+                    continue
+                a, b = rng.sample(classes, 2)
+                with pytest.raises(ValueError):
+                    check_partition(d, [a if c == b else c for c in part])
+                tried += 1
+        assert tried > 300
+
+    def test_merging_two_classes_of_a_monster_build_fails(self):
+        d = build_standard(wheel_builtin(1), monster(MonsterSpec((4,), "generators")))
+        part = _hopcroft_partition(d)
+        check_partition(d, part)
+        for a, b in ((0, 1), (5, 200), (max(part), 0)):
+            with pytest.raises(ValueError):
+                check_partition(d, [a if c == b else c for c in part])
+
+    def test_the_first_failure_is_named(self):
+        # 0 and 1 are both non-final and a fixes every state, but b sends 0 to the final 2 and 1 to 0
+        d = Dfa(("a", "b"), 3, 0, frozenset({2}), ((0, 1, 2), (2, 0, 2)))
+        with pytest.raises(ValueError, match="letter 'b'"):
+            check_partition(d, [0, 0, 1])
+        with pytest.raises(ValueError, match="final and non-final"):
+            check_partition(d, [0, 0, 0])
+        check_partition(d, [0, 1, 2])
+
+    @pytest.mark.parametrize("part, message", [([0, 1], "3 states"), ([0, -1, 1], "-1 is negative")])
+    def test_malformed_partitions_are_refused(self, part, message):
+        with pytest.raises(ValueError, match=message):
+            check_partition(Dfa(("a",), 3, 0, frozenset(), ((1, 2, 0),)), part)
 
 
 class TestEquivalent:
